@@ -40,9 +40,9 @@ let () =
 
   print_endline "== Figure 1: the header word ==";
   let h = Header.encode ~id:7 ~length_words:3 in
-  Printf.printf "header {id=7; len=3} = %#Lx (low bit 1)\n" h;
+  Printf.printf "header {id=7; len=3} = %#x (low bit 1)\n" h;
   let f = Header.forward 0x2040 in
-  Printf.printf "forward -> 0x2040   = %#Lx (low bit 0)\n\n" f;
+  Printf.printf "forward -> 0x2040   = %#x (low bit 0)\n\n" f;
 
   print_endline "== Minor collection (Figure 2) ==";
   show "fresh heap" lh;

@@ -117,11 +117,8 @@ let alloc_raw ctx m ~words =
     ~init:(fun addr -> Obj_repr.init_raw ctx.Ctx.store ~addr ~words)
     [||]
 
-let init_raw_word ctx m v i w =
-  let addr = Value.to_ptr v in
-  Ctx.write_word ctx m (Obj_repr.field_addr addr i) w
-
-let init_float ctx m v i f = init_raw_word ctx m v i (Int64.bits_of_float f)
+let init_raw_word ctx m v i w = Ctx.set_raw ctx m (Value.to_ptr v) i w
+let init_float ctx m v i f = Ctx.set_float ctx m (Value.to_ptr v) i f
 
 let alloc_float_array ctx m floats =
   let n = Array.length floats in

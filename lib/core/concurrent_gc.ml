@@ -610,11 +610,11 @@ let ratify ctx (st : Ctx.conc_state) =
          let words lo hi =
            let addr = ref lo in
            while !addr < hi do
-             let h = peek !addr in
+             let h = Sim_mem.Memory.get_unchecked store.Store.mem !addr in
              if Header.is_forward h then begin
                let target = Header.forward_addr h in
                if condemned ctx target then bad "fwdword" !addr target;
-               let th = peek target in
+               let th = Sim_mem.Memory.get_unchecked store.Store.mem target in
                let final =
                  if Header.is_forward th then Header.forward_addr th
                  else target

@@ -66,6 +66,8 @@ type conc_state = {
 type t = {
   store : Store.t;
   cost : Numa.Cost_model.t;
+  l2_filter : Numa.Cost_model.filter;
+  pages : Memory.pages;
   global : Global_heap.t;
   params : Params.t;
   muts : mutator array;
@@ -129,6 +131,8 @@ let create ?(params = Params.default) ?(cap_scale = 1.) ~machine ~n_vprocs
   {
     store;
     cost;
+    l2_filter = Numa.Cost_model.filter cost;
+    pages = Memory.pages store.Store.mem;
     global;
     params;
     muts;
@@ -192,11 +196,28 @@ let charge_ns m ns =
 
 let charge_work t m ~cycles = charge_ns m (Numa.Cost_model.work t.cost ~cycles)
 
+(* The access fast path: the cost model's MRU-line filter, run inline
+   because every cross-module call is a real call under [-opaque] (see
+   DESIGN.md).  A single-line access to a mapped address whose line is
+   most recent in its set of this vproc's L2 is an L2 hit that changes
+   nothing but the hit count. *)
 let charge_access t m addr bytes =
-  let dst_node = Memory.node_of_addr t.store.Store.mem addr in
-  charge_ns m
-    (Numa.Cost_model.access t.cost ~vproc:m.id ~dst_node ~addr ~bytes
-       ~now_ns:m.now_ns)
+  let v = m.id and line = addr asr Numa.Cost_model.line_bits in
+  let f = t.l2_filter and page = addr lsr t.pages.page_bits in
+  if
+    line = (addr + bytes - 1) asr Numa.Cost_model.line_bits
+    && f.l2_tags.(v).((line land f.set_mask) lsl Numa.Cache.way_bits) = line
+    && page < Bytes.length t.pages.page_node
+    && Bytes.unsafe_get t.pages.page_node page <> Memory.unmapped
+  then begin
+    f.hits.(v) <- f.hits.(v) + 1;
+    charge_ns m f.l2_hit_ns
+  end
+  else
+    let dst_node = Memory.node_of_addr t.store.Store.mem addr in
+    charge_ns m
+      (Numa.Cost_model.access t.cost ~vproc:v ~dst_node ~addr ~bytes
+         ~now_ns:m.now_ns)
 
 let charge_bulk t m addr bytes =
   let dst_node = Memory.node_of_addr t.store.Store.mem addr in
@@ -226,23 +247,24 @@ let conc_taint t m v =
         st.cg_taints.(m.id) <- st.cg_taints.(m.id) + 1
   | _ -> ()
 
+(* The read taint of a mutator-context load, during cycle [st], of word
+   [w] (its low 63 bits) at [addr].  A raw-word pointer test (not
+   [Value.of_word], which rejects headers): aligned, nonzero, even — a
+   forwarding word to a condemned target counts too, exactly the
+   stale-alias case.  Callers test [t.conc] first, inline. *)
+let taint_read t m st addr w =
+  if
+    (not m.in_gc)
+    && (in_condemned t addr
+       || w <> 0
+          && w land 7 = 0
+          && (in_condemned t w || Global_heap.is_large t.global w))
+  then st.cg_taints.(m.id) <- st.cg_taints.(m.id) + 1
+
 let read_word t m addr =
   charge_access t m addr 8;
   let w = Memory.get t.store.Store.mem addr in
-  (match t.conc with
-  | Some st when not m.in_gc ->
-      (* Raw-word pointer test (not [Value.of_word], which rejects
-         headers): aligned, nonzero, even — a forwarding word to a
-         condemned target counts too, exactly the stale-alias case. *)
-      if
-        in_condemned t addr
-        ||
-        let v = Int64.to_int w in
-        v <> 0
-        && v land 7 = 0
-        && (in_condemned t v || Global_heap.is_large t.global v)
-      then st.cg_taints.(m.id) <- st.cg_taints.(m.id) + 1
-  | _ -> ());
+  (match t.conc with None -> () | Some st -> taint_read t m st addr w);
   w
 
 let write_word t m addr w =
@@ -252,26 +274,63 @@ let write_word t m addr w =
 let touch t m ~addr ~bytes = charge_access t m addr bytes
 let bulk_touch t m ~addr ~bytes = charge_bulk t m addr bytes
 
-let get_raw t m addr i = read_word t m (Obj_repr.field_addr addr i)
-let get_float t m addr i = Int64.float_of_bits (get_raw t m addr i)
-let header_of t m addr = read_word t m addr
+(* [Obj_repr.field_addr], inline. *)
+let field_addr addr i = addr + ((i + 1) * 8)
+
+let get_raw t m addr i =
+  let a = field_addr addr i in
+  charge_access t m a 8;
+  let w = Memory.get_raw t.store.Store.mem a in
+  (match t.conc with
+  | None -> ()
+  | Some st -> taint_read t m st a (Int64.to_int w));
+  w
+
+let get_float t m addr i =
+  let a = field_addr addr i in
+  charge_access t m a 8;
+  let mem = t.store.Store.mem in
+  (match t.conc with
+  | None -> ()
+  | Some st -> taint_read t m st a (Int64.to_int (Memory.get_raw mem a)));
+  Memory.get_float mem a
+
+let set_raw t m addr i w =
+  let a = field_addr addr i in
+  charge_access t m a 8;
+  Memory.set_raw t.store.Store.mem a w
+
+let set_float t m addr i f =
+  let a = field_addr addr i in
+  charge_access t m a 8;
+  Memory.set_float t.store.Store.mem a f
+
+(* As [read_word], but a header read never raises on the word's value:
+   the low 63 bits are the header, as they always were. *)
+let header_of t m addr =
+  charge_access t m addr 8;
+  let h = Memory.get_unchecked t.store.Store.mem addr in
+  (match t.conc with None -> () | Some st -> taint_read t m st addr h);
+  h
+
+(* Follow forwarding words (even words in header position) from [addr] to
+   a real header. *)
+let rec resolve_addr t m addr =
+  let h = header_of t m addr in
+  if h land 1 = 0 then resolve_addr t m h else addr
 
 let resolve t m v =
-  if not (Value.is_ptr v) then v
-  else begin
-    let rec follow addr =
-      let h = header_of t m addr in
-      if Header.is_forward h then follow (Header.forward_addr h)
-      else Value.of_ptr addr
-    in
-    follow (Value.to_ptr v)
-  end
+  let a = (v : Value.t :> int) in
+  if a land 1 = 1 || a = 0 then v
+  else
+    let r = resolve_addr t m a in
+    if r = a then v else Value.of_ptr r
 
 (* Field reads resolve forwarding on the returned pointer: an aliased
    object may have been promoted out from under this reference, and in a
    mutation-free heap following the forwarding word is always sound. *)
 let get_field t m addr i =
-  resolve t m (Value.of_word (read_word t m (Obj_repr.field_addr addr i)))
+  resolve t m (Value.of_word (read_word t m (field_addr addr i)))
 
 let census t =
   Census.collect t.store

@@ -76,6 +76,11 @@ type conc_state = {
 type t = {
   store : Store.t;
   cost : Numa.Cost_model.t;
+  l2_filter : Numa.Cost_model.filter;
+      (** [cost]'s MRU-line filter, which the charged accessors test
+          inline before any cross-module call *)
+  pages : Sim_mem.Memory.pages;
+      (** the store's page table, for the same inline test *)
   global : Global_heap.t;
   params : Params.t;
   muts : mutator array;
@@ -165,11 +170,12 @@ val iter_all_roots :
 
 val charge_ns : mutator -> float -> unit
 val charge_work : t -> mutator -> cycles:float -> unit
-val read_word : t -> mutator -> int -> int64
-(** Charged single-word load.  While a concurrent global cycle is in
-    flight, mutator-context loads that touch a condemned address or
-    return a from-space pointer bump the vproc's re-acquisition taint
-    (see {!conc_state}). *)
+val read_word : t -> mutator -> int -> int
+(** Charged single-word load of a tagged word (header, forwarding word
+    or value; see {!Sim_mem.Memory.get}).  While a concurrent global
+    cycle is in flight, mutator-context loads that touch a condemned
+    address or return a from-space pointer bump the vproc's
+    re-acquisition taint (see {!conc_state}). *)
 
 val conc_taint : t -> mutator -> Value.t -> unit
 (** Explicit taint for values that reach [m] without a heap read — a
@@ -177,7 +183,7 @@ val conc_taint : t -> mutator -> Value.t -> unit
     concurrent cycle is active, [m] is outside collector context, and
     the value is a from-space pointer. *)
 
-val write_word : t -> mutator -> int -> int64 -> unit
+val write_word : t -> mutator -> int -> int -> unit
 val touch : t -> mutator -> addr:int -> bytes:int -> unit
 (** Charge an access without transferring data through the API (e.g. the
     mutator "using" a raw payload). *)
@@ -195,10 +201,20 @@ val get_field : t -> mutator -> int -> int -> Value.t
     them. *)
 
 val get_raw : t -> mutator -> int -> int -> int64
-val get_float : t -> mutator -> int -> int -> float
+(** [get_raw t m addr i] — charged load of raw body word [i], all 64
+    bits.  It taints like {!read_word}, on the word's low 63 bits. *)
 
-val header_of : t -> mutator -> int -> int64
-(** Charged header read (follows no forwarding). *)
+val get_float : t -> mutator -> int -> int -> float
+(** {!get_raw} read as a double, without an intermediate [int64]. *)
+
+val set_raw : t -> mutator -> int -> int -> int64 -> unit
+(** Charged store into raw body word [i]. *)
+
+val set_float : t -> mutator -> int -> int -> float -> unit
+
+val header_of : t -> mutator -> int -> int
+(** Charged header read (follows no forwarding).  Like {!read_word},
+    but the word is read with {!Sim_mem.Memory.get_unchecked}. *)
 
 val resolve : t -> mutator -> Value.t -> Value.t
 (** Follow a forwarding word if the referenced object was promoted out

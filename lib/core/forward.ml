@@ -111,7 +111,7 @@ let evacuate ctx m ~dest src =
   end
   else begin
     if trace then
-      Printf.eprintf "evac v%d src=%#x hdr=%#Lx\n%!" m.Ctx.id src h;
+      Printf.eprintf "evac v%d src=%#x hdr=%#x\n%!" m.Ctx.id src h;
     let store = ctx.Ctx.store in
     let bytes = (Header.length_words h + 1) * 8 in
     let dst = dest.alloc_dst bytes in
@@ -136,7 +136,7 @@ let forward_field ctx m ~dest ~in_from field_addr =
     let target = Value.to_ptr v in
     if in_from target then begin
       let dst = evacuate ctx m ~dest target in
-      Ctx.write_word ctx m field_addr (Value.to_word (Value.of_ptr dst))
+      Ctx.write_word ctx m field_addr (Value.of_ptr dst : Value.t :> int)
     end
   end
 

@@ -116,7 +116,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
     if Value.is_ptr v && not (Local_heap.in_heap m.Ctx.lh (Value.to_ptr v))
     then
       let dst = Forward.evacuate ctx m ~dest:dests.(m.Ctx.id) (Value.to_ptr v) in
-      Some (Value.to_word (Value.of_ptr dst))
+      Some (Value.of_ptr dst : Value.t :> int)
     else None
   in
   let forward_field (m : Ctx.mutator) fa =
@@ -125,7 +125,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
     | None -> ()
   in
   let forward_cell (m : Ctx.mutator) c =
-    (match forward_global m (Value.to_word (Roots.get c)) with
+    (match forward_global m (Roots.get c : Value.t :> int) with
     | Some w -> Roots.set c (Value.of_word w)
     | None -> ());
     Ctx.charge_work ctx m ~cycles:2.

@@ -79,7 +79,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
         (match ctx.Ctx.conc with
         | Some st -> Remember.add st.Ctx.cg_log ~slot
         | None -> ());
-        Ctx.write_word ctx m slot (Value.to_word (Value.of_ptr dst))
+        Ctx.write_word ctx m slot (Value.of_ptr dst : Value.t :> int)
       end);
   walk_objects store ~lo:young_lo ~hi:young_hi (fun addr ->
       Forward.scan_fields ctx m ~dest ~in_from addr);
@@ -110,7 +110,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
             let v = Value.of_word (Ctx.read_word ctx m fa) in
             if Value.is_ptr v && in_young (Value.to_ptr v) then
               Ctx.write_word ctx m fa
-                (Value.to_word (Value.of_ptr (resolve_young (Value.to_ptr v))))));
+                (Value.of_ptr (resolve_young (Value.to_ptr v)) : Value.t :> int)));
     (* Fix roots and proxy referents pointing into the young range. *)
     let fix_cell c =
       let v = Roots.get c in
@@ -129,16 +129,13 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
           | Some st -> Remember.add st.Ctx.cg_log ~slot
           | None -> ());
           Ctx.write_word ctx m slot
-            (Value.to_word (Value.of_ptr (resolve_young (Value.to_ptr r))))
+            (Value.of_ptr (resolve_young (Value.to_ptr r)) : Value.t :> int)
         end);
     (* Move the block. *)
     Ctx.bulk_touch ctx m ~addr:young_lo ~bytes:ysize;
     Ctx.bulk_touch ctx m ~addr:from_lo ~bytes:ysize;
-    for i = 0 to (ysize / 8) - 1 do
-      Sim_mem.Memory.set store.Store.mem
-        (from_lo + (i * 8))
-        (Sim_mem.Memory.get store.Store.mem (young_lo + (i * 8)))
-    done
+    Sim_mem.Memory.copy_words store.Store.mem ~src:young_lo ~dst:from_lo
+      ~words:(ysize / 8)
   end;
   lh.Local_heap.young_base <- from_lo;
   lh.Local_heap.old_top <- from_lo + ysize;

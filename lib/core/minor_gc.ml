@@ -42,7 +42,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
         (match ctx.Ctx.conc with
         | Some st -> Remember.add st.Ctx.cg_log ~slot
         | None -> ());
-        Ctx.write_word ctx m slot (Value.to_word (Value.of_ptr dst))
+        Ctx.write_word ctx m slot (Value.of_ptr dst : Value.t :> int)
       end);
   (* Cheney scan of the newly-copied region. *)
   let scan = ref dst_start in

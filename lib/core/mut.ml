@@ -35,7 +35,7 @@ let set_pointer_field ctx (m : Ctx.mutator) obj i v =
        && Local_heap.in_old lh addr
        && Local_heap.in_nursery lh (Value.to_ptr v)
      then Remember.add m.Ctx.remembered ~slot:(Obj_repr.field_addr addr i));
-    Ctx.write_word ctx m (Obj_repr.field_addr addr i) (Value.to_word v)
+    Ctx.write_word ctx m (Obj_repr.field_addr addr i) (v : Value.t :> int)
   end
   | _ -> begin
     (* A global object: the stored value must itself be global (I2). *)
@@ -53,7 +53,7 @@ let set_pointer_field ctx (m : Ctx.mutator) obj i v =
         Remember.add st.Ctx.cg_log ~slot;
         Ctx.charge_work ctx m ~cycles:4.
     | None -> ());
-    Ctx.write_word ctx m slot (Value.to_word v)
+    Ctx.write_word ctx m slot (v : Value.t :> int)
   end
 
 let set ctx m r v = set_pointer_field ctx m r 0 v

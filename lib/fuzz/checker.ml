@@ -35,7 +35,7 @@ let resolve_addr (c : Ctx.t) addr =
     else if not (Memory.is_mapped mem addr && Addr.is_word_aligned addr) then
       Error "unmapped or unaligned"
     else begin
-      let h = Memory.get mem addr in
+      let h = Memory.get_unchecked mem addr in
       if Header.is_forward h then go (Header.forward_addr h) (depth + 1)
       else if Header.is_header h then Ok addr
       else Error "word is neither header nor forwarding"

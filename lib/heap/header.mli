@@ -4,8 +4,10 @@
     - bit 0: always [1] — distinguishes a header from a forwarding
       pointer, whose low bit is [0] because heap addresses are 8-aligned;
     - bits 1–15: a 15-bit object ID;
-    - bits 16–63: a 48-bit object length, in words of object body
-      (excluding the header word itself).
+    - bits 16–61: a 46-bit object length, in words of object body
+      (excluding the header word itself);
+    - bits 62–63: zero, so that every header fits an OCaml [int] and
+      travels through the simulator as one.
 
     Three IDs are reserved: {!raw_id} and {!vector_id} for the two
     object kinds the collector handles directly (paper §3.2), and
@@ -21,22 +23,22 @@ val max_id : int
 (** [2^15 - 1] *)
 
 val max_length_words : int
-(** [2^48 - 1] *)
+(** [2^46 - 1] *)
 
-val encode : id:int -> length_words:int -> int64
+val encode : id:int -> length_words:int -> int
 (** Raises [Invalid_argument] if either field is out of range. *)
 
-val is_header : int64 -> bool
+val is_header : int -> bool
 (** Is the low bit set? *)
 
-val id : int64 -> int
-val length_words : int64 -> int
+val id : int -> int
+val length_words : int -> int
 
-val forward : int -> int64
+val forward : int -> int
 (** [forward addr] — a forwarding word pointing at [addr].  Raises
     [Invalid_argument] if [addr] is unaligned or zero. *)
 
-val is_forward : int64 -> bool
-val forward_addr : int64 -> int
+val is_forward : int -> bool
+val forward_addr : int -> int
 
-val pp : Format.formatter -> int64 -> unit
+val pp : Format.formatter -> int -> unit

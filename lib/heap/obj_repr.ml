@@ -2,7 +2,7 @@ open Sim_mem
 
 type kind = Raw | Vector | Mixed of Descriptor.desc | Proxy
 
-let header (s : Store.t) addr = Memory.get s.mem addr
+let header (s : Store.t) addr = Memory.get_unchecked s.mem addr
 let set_header (s : Store.t) addr w = Memory.set s.mem addr w
 
 let kind s addr =
@@ -26,13 +26,13 @@ let field_addr addr i = addr + ((i + 1) * Addr.word_bytes)
 
 let get_field (s : Store.t) addr i = Value.of_word (Memory.get s.mem (field_addr addr i))
 
-let set_field (s : Store.t) addr i v =
-  Memory.set s.mem (field_addr addr i) (Value.to_word v)
+let set_field (s : Store.t) addr i (v : Value.t) =
+  Memory.set s.mem (field_addr addr i) (v :> int)
 
-let get_raw (s : Store.t) addr i = Memory.get s.mem (field_addr addr i)
-let set_raw (s : Store.t) addr i w = Memory.set s.mem (field_addr addr i) w
-let get_float s addr i = Int64.float_of_bits (get_raw s addr i)
-let set_float s addr i f = set_raw s addr i (Int64.bits_of_float f)
+let get_raw (s : Store.t) addr i = Memory.get_raw s.mem (field_addr addr i)
+let set_raw (s : Store.t) addr i w = Memory.set_raw s.mem (field_addr addr i) w
+let get_float (s : Store.t) addr i = Memory.get_float s.mem (field_addr addr i)
+let set_float (s : Store.t) addr i f = Memory.set_float s.mem (field_addr addr i) f
 
 let init_raw s ~addr ~words =
   set_header s addr (Header.encode ~id:Header.raw_id ~length_words:words)
@@ -60,7 +60,5 @@ let iter_pointer_slots s addr f =
 
 let copy_object (s : Store.t) ~src ~dst =
   let bytes = total_bytes s src in
-  for i = 0 to (bytes / Addr.word_bytes) - 1 do
-    Memory.set s.mem (dst + (i * 8)) (Memory.get s.mem (src + (i * 8)))
-  done;
+  Memory.copy_words s.mem ~src ~dst ~words:(bytes / Addr.word_bytes);
   bytes

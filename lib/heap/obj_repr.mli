@@ -11,8 +11,12 @@ type kind =
   | Mixed of Descriptor.desc  (** record with a static pointer layout *)
   | Proxy  (** global object referencing a local-heap value (paper fn. 1) *)
 
-val header : Store.t -> int -> int64
-val set_header : Store.t -> int -> int64 -> unit
+val header : Store.t -> int -> int
+(** The header (or forwarding) word at [addr], read with
+    {!Sim_mem.Memory.get_unchecked}: a checker that lands on a raw word
+    gets its low 63 bits rather than an exception. *)
+
+val set_header : Store.t -> int -> int -> unit
 
 val kind : Store.t -> int -> kind
 (** Raises [Invalid_argument] on a forwarding word or unknown ID. *)
@@ -30,7 +34,7 @@ val get_field : Store.t -> int -> int -> Value.t
 val set_field : Store.t -> int -> int -> Value.t -> unit
 
 val get_raw : Store.t -> int -> int -> int64
-(** Raw word [i] of a raw object's body. *)
+(** Raw word [i] of a raw object's body, all 64 bits. *)
 
 val set_raw : Store.t -> int -> int -> int64 -> unit
 val get_float : Store.t -> int -> int -> float

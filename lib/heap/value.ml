@@ -26,15 +26,8 @@ let to_ptr v =
 let unit = of_int 0
 let of_bool b = of_int (if b then 1 else 0)
 let to_bool v = to_int v <> 0
-let to_word v = Int64.of_int v
-
-let of_word w =
-  let v = Int64.to_int w in
-  if v land 1 = 1 then begin
-    (* Odd words are immediates; sanity-check the range round-trips. *)
-    if Int64.of_int v <> w then invalid_arg "Value.of_word: overflow";
-    v
-  end
+let of_word v =
+  if v land 1 = 1 then v
   else if v = 0 then invalid_arg "Value.of_word: null"
   else if v land 7 <> 0 then invalid_arg "Value.of_word: unaligned pointer"
   else v

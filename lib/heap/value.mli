@@ -31,12 +31,12 @@ val unit : t
 val of_bool : bool -> t
 val to_bool : t -> bool
 
-val to_word : t -> int64
-(** The representation stored in heap memory. *)
-
-val of_word : int64 -> t
-(** Raises [Invalid_argument] if the word is not a valid value (e.g. it
-    is a header that escaped into a field). *)
+val of_word : int -> t
+(** Read a heap word as a value.  Raises [Invalid_argument] if the word
+    is null or an unaligned even word (e.g. a header that escaped into a
+    field is odd and reads as an immediate).  The word itself is
+    [(v :> int)]; the 64-bit overflow check happens where a word is read
+    from memory ({!Sim_mem.Memory.get}). *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

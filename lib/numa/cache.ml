@@ -5,14 +5,14 @@
 type t = {
   line_bits : int;
   set_mask : int;
-  ways : int;
   tags : int array; (* n_sets * ways, -1 = empty *)
   mutable hits : int;
   mutable misses : int;
 }
 
 let rec log2_floor n = if n <= 1 then 0 else 1 + log2_floor (n / 2)
-let ways = 4
+let way_bits = 2
+let ways = 1 lsl way_bits
 
 let create ~size_kb ~line_bytes =
   if size_kb <= 0 || line_bytes <= 0 then invalid_arg "Cache.create";
@@ -24,7 +24,6 @@ let create ~size_kb ~line_bytes =
   {
     line_bits;
     set_mask = n_sets - 1;
-    ways;
     tags = Array.make (n_sets * ways) (-1);
     hits = 0;
     misses = 0;
@@ -32,52 +31,29 @@ let create ~size_kb ~line_bytes =
 
 let line_bytes t = 1 lsl t.line_bits
 
-let find t line =
-  let base = (line land t.set_mask) * t.ways in
-  let rec go i = if i >= t.ways then -1 else if t.tags.(base + i) = line then i else go (i + 1) in
-  (base, go 0)
-
-let promote_way t base i =
-  (* Move way [i] to the front of the recency order. *)
-  let line = t.tags.(base + i) in
-  for j = i downto 1 do
-    t.tags.(base + j) <- t.tags.(base + j - 1)
-  done;
-  t.tags.(base) <- line
+(* Probe and reorder in one pass: way [j] takes [carry], the tag that was
+   one step more recent, until the way that held [line] is overwritten (a
+   hit) or the LRU way falls off the end (a miss).  Either way [line]
+   ends at way 0. *)
+let rec shift tags line j last carry =
+  let tag = tags.(j) in
+  tags.(j) <- carry;
+  tag = line || (j < last && shift tags line (j + 1) last tag)
 
 let access t addr =
   let line = addr lsr t.line_bits in
-  let base, i = find t line in
-  if i >= 0 then begin
-    t.hits <- t.hits + 1;
-    if i > 0 then promote_way t base i;
-    true
-  end
-  else begin
-    t.misses <- t.misses + 1;
-    (* Evict the LRU way (last), insert at the front. *)
-    for j = t.ways - 1 downto 1 do
-      t.tags.(base + j) <- t.tags.(base + j - 1)
-    done;
-    t.tags.(base) <- line;
-    false
-  end
+  let base = (line land t.set_mask) * ways in
+  let hit = shift t.tags line base (base + ways - 1) line in
+  if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+  hit
 
 let probe t addr =
   let line = addr lsr t.line_bits in
-  let _, i = find t line in
-  i >= 0
-
-let invalidate_range t ~lo ~hi =
-  let lo_line = lo lsr t.line_bits and hi_line = hi lsr t.line_bits in
-  Array.iteri
-    (fun i tag -> if tag >= lo_line && tag < hi_line then t.tags.(i) <- -1)
-    t.tags
-
-let clear t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  t.hits <- 0;
-  t.misses <- 0
+  let base = (line land t.set_mask) * ways in
+  let rec go j = j < ways && (t.tags.(base + j) = line || go (j + 1)) in
+  go 0
 
 let hits t = t.hits
 let misses t = t.misses
+let tags t = t.tags
+let set_mask t = t.set_mask

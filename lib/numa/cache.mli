@@ -13,15 +13,24 @@ val line_bytes : t -> int
 
 val access : t -> int -> bool
 (** [access t addr] probes and fills the line containing byte address
-    [addr]; returns [true] on a hit. *)
+    [addr]; returns [true] on a hit.  Allocates nothing.  Hit or fill,
+    the line is left most recent in its set. *)
 
 val probe : t -> int -> bool
 (** [probe t addr] checks for a hit without filling. *)
 
-val invalidate_range : t -> lo:int -> hi:int -> unit
-(** Drop every line whose cached tag falls in [lo, hi) — used when a heap
-    region is reclaimed and its contents must no longer count as cached. *)
-
-val clear : t -> unit
 val hits : t -> int
 val misses : t -> int
+
+(** {2 The tag array, for read-only fast paths} *)
+
+val way_bits : int
+(** [log2] of the associativity (4 ways). *)
+
+val tags : t -> int array
+(** The live tag array.  Set [s] holds the line numbers
+    ([addr lsr log2 line_bytes]) at indices [s lsl way_bits] onwards,
+    most recent first; [-1] marks an empty way.  Do not write it. *)
+
+val set_mask : t -> int
+(** A line's set is [line land set_mask]. *)

@@ -57,9 +57,3 @@ let utilization t ~now_ns =
 
 let service_ns t ~bytes = float_of_int bytes /. t.gb_per_s
 let total_bytes t = t.total
-let capacity_gb_per_s t = t.cap_gb_per_s
-
-let reset t =
-  t.window <- 0;
-  t.bytes <- 0.;
-  t.total <- 0.

@@ -42,5 +42,3 @@ val utilization : t -> now_ns:float -> float
 val total_bytes : t -> float
 (** All traffic ever charged, for measured-bandwidth reports. *)
 
-val capacity_gb_per_s : t -> float
-val reset : t -> unit

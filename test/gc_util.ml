@@ -60,7 +60,7 @@ let rec snapshot (ctx : Ctx.t) v =
                 if List.mem i slots then
                   snapshot ctx (Obj_repr.get_field store addr i)
                 else
-                  match Value.of_word (Obj_repr.get_raw store addr i) with
+                  match Obj_repr.get_field store addr i with
                   | v when Value.is_int v -> Imm (Value.to_int v)
                   | _ -> Imm 0) )
     | Obj_repr.Proxy -> Mix ("proxy", [])

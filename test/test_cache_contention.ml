@@ -39,14 +39,6 @@ let test_cache_probe_no_fill () =
   Alcotest.(check bool) "still cold after probe" false (Cache.access c 0x40);
   Alcotest.(check bool) "probe warm" true (Cache.probe c 0x40)
 
-let test_cache_invalidate_range () =
-  let c = Cache.create ~size_kb:4 ~line_bytes:64 in
-  ignore (Cache.access c 0x100);
-  ignore (Cache.access c 0x2000);
-  Cache.invalidate_range c ~lo:0x0 ~hi:0x1000;
-  Alcotest.(check bool) "inside dropped" false (Cache.probe c 0x100);
-  Alcotest.(check bool) "outside kept" true (Cache.probe c 0x2000)
-
 let test_cache_bad_args () =
   Alcotest.check_raises "zero size" (Invalid_argument "Cache.create") (fun () ->
       ignore (Cache.create ~size_kb:0 ~line_bytes:64));
@@ -120,7 +112,6 @@ let suite =
       Alcotest.test_case "eviction" `Quick test_cache_eviction;
       Alcotest.test_case "associativity" `Quick test_cache_associativity;
       Alcotest.test_case "probe does not fill" `Quick test_cache_probe_no_fill;
-      Alcotest.test_case "invalidate range" `Quick test_cache_invalidate_range;
       Alcotest.test_case "bad args" `Quick test_cache_bad_args;
       Alcotest.test_case "uncontended" `Quick test_contention_uncontended;
       Alcotest.test_case "overload billing" `Quick test_contention_overload_billing;

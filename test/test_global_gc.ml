@@ -98,7 +98,7 @@ let test_global_proxy_handling () =
   (* Promote the referent, collect again: the proxy's now-global referent
      must be forwarded with it. *)
   let gr = Promote.value ctx m (Proxy.referent ctx.Ctx.store paddr') in
-  Ctx.write_word ctx m (Obj_repr.field_addr paddr' 0) (Value.to_word gr);
+  Ctx.write_word ctx m (Obj_repr.field_addr paddr' 0) (gr : Value.t :> int);
   Global_gc.run ctx;
   let paddr'' = Value.to_ptr (Roots.get pcell) in
   let r' = Proxy.referent ctx.Ctx.store paddr'' in

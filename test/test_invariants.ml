@@ -35,7 +35,7 @@ let test_detects_i1 () =
   (* Raw store, bypassing every barrier. *)
   Memory.set ctx.Ctx.store.Store.mem
     (Obj_repr.field_addr (Value.to_ptr a) 1)
-    (Value.to_word b);
+    (b : Value.t :> int);
   Alcotest.(check bool) "I1 reported" true (has_violation ctx "I1 violation")
 
 let test_detects_i2 () =
@@ -48,7 +48,7 @@ let test_detects_i2 () =
   (* Make the *global* cons point back into the local heap. *)
   Memory.set ctx.Ctx.store.Store.mem
     (Obj_repr.field_addr (Value.to_ptr g) 1)
-    (Value.to_word (Roots.get cl));
+    (Roots.get cl : Value.t :> int);
   Alcotest.(check bool) "I2 reported" true (has_violation ctx "I2 violation")
 
 let test_detects_age_violation () =
@@ -62,7 +62,7 @@ let test_detects_age_violation () =
   (* Raw old->nursery store without the write barrier. *)
   Memory.set ctx.Ctx.store.Store.mem
     (Obj_repr.field_addr (Value.to_ptr (Roots.get cold)) 1)
-    (Value.to_word fresh);
+    (fresh : Value.t :> int);
   Alcotest.(check bool) "age violation reported" true
     (has_violation ctx "age violation")
 
@@ -86,7 +86,7 @@ let test_detects_dangling_pointer () =
   (* Point a field at unmapped space. *)
   Memory.set ctx.Ctx.store.Store.mem
     (Obj_repr.field_addr (Value.to_ptr a) 1)
-    (Value.to_word (Value.of_ptr 0x7f0000));
+    (Value.of_ptr 0x7f0000 : Value.t :> int);
   Alcotest.(check bool) "dangling reported" true
     (has_violation ctx "no valid object")
 
@@ -119,7 +119,7 @@ let test_overrun_reported_despite_earlier_errors () =
   ignore (Roots.add m0.Ctx.roots a);
   Memory.set ctx.Ctx.store.Store.mem
     (Obj_repr.field_addr (Value.to_ptr a) 1)
-    (Value.to_word (Value.of_ptr 0x7f0000));
+    (Value.of_ptr 0x7f0000 : Value.t :> int);
   let b = Alloc.alloc_vector ctx m1 [| Value.of_int 5 |] in
   ignore (Roots.add m1.Ctx.roots b);
   Memory.set ctx.Ctx.store.Store.mem (Value.to_ptr b)

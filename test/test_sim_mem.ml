@@ -7,9 +7,25 @@ let mk_mem () = Memory.create ~n_nodes:4 ~capacity_bytes:(1 lsl 20) ~page_bytes:
 let test_memory_rw () =
   let m = mk_mem () in
   Memory.map_pages m ~first_page:1 ~n_pages:2 ~node_of_page:(fun _ -> 0);
-  Memory.set m 4096 0x1234L;
-  Alcotest.(check int64) "read back" 0x1234L (Memory.get m 4096);
-  Alcotest.(check int64) "fresh pages zeroed" 0L (Memory.get m 4104)
+  Memory.set m 4096 0x1234;
+  Alcotest.(check int) "read back" 0x1234 (Memory.get m 4096);
+  Alcotest.(check int) "fresh pages zeroed" 0 (Memory.get m 4104);
+  Memory.set m 4096 (-7);
+  Alcotest.(check int64) "tagged words sign-extend" (-7L) (Memory.get_raw m 4096);
+  Memory.set_float m 4104 (-2.5);
+  Alcotest.(check (float 0.)) "float" (-2.5) (Memory.get_float m 4104);
+  Alcotest.(check int64) "float bits" (Int64.bits_of_float (-2.5))
+    (Memory.get_raw m 4104);
+  (* Odd words must survive the 63-bit tagged view; even ones truncate. *)
+  Memory.set_raw m 4112 0x4000_0000_0000_0001L;
+  Alcotest.check_raises "odd overflow"
+    (Invalid_argument "Memory.get: odd word overflows a tagged int") (fun () ->
+      ignore (Memory.get m 4112));
+  Memory.set_raw m 4112 0x8000_0000_0000_0008L;
+  Alcotest.(check int) "even truncates" 8 (Memory.get m 4112);
+  Memory.copy_words m ~src:4096 ~dst:4120 ~words:3;
+  Alcotest.(check int64) "copy keeps all bits" 0x8000_0000_0000_0008L
+    (Memory.get_raw m 4136)
 
 let test_memory_node_lookup () =
   let m = mk_mem () in
