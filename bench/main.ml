@@ -1162,27 +1162,61 @@ let bechamel_main () =
   print_endline (Harness.Figures.fig7 ~fast:true ());
   print_endline (Harness.Figures.gc_report ~fast:true ())
 
+let main mode json slices =
+  match (mode, json, slices) with
+  | `Global, _, Some n when n < 1 ->
+      `Error (false, "--conc-parallel-slices must be at least 1")
+  | `Global, json, slices -> `Ok (global_main ?slices json)
+  | _, _, Some _ ->
+      `Error (true, "--conc-parallel-slices applies to --global only")
+  | `Default, None, None -> `Ok (bechamel_main ())
+  | `Default, Some path, None -> `Ok (metrics_main path)
+  | `Promote, json, None -> `Ok (promote_main json)
+  | `Server, json, None -> `Ok (server_main json)
+  | `Classify, None, None -> `Ok (classify_main ())
+  | `Obs_overhead, None, None -> `Ok (obs_overhead_main ())
+  | (`Classify | `Obs_overhead), Some _, None ->
+      `Error (true, "--metrics-json does not apply to this mode")
+
 let () =
-  match Sys.argv with
-  | [| _ |] -> bechamel_main ()
-  | [| _; "--metrics-json"; path |] -> metrics_main path
-  | [| _; "--classify" |] -> classify_main ()
-  | [| _; "--obs-overhead" |] -> obs_overhead_main ()
-  | [| _; "--promote" |] -> promote_main None
-  | [| _; "--promote"; "--metrics-json"; path |] -> promote_main (Some path)
-  | [| _; "--server" |] -> server_main None
-  | [| _; "--server"; "--metrics-json"; path |] -> server_main (Some path)
-  | [| _; "--global" |] -> global_main None
-  | [| _; "--global"; "--metrics-json"; path |] -> global_main (Some path)
-  | [| _; "--global"; "--conc-parallel-slices"; n |] ->
-      global_main ~slices:(int_of_string n) None
-  | [| _; "--global"; "--conc-parallel-slices"; n; "--metrics-json"; path |] ->
-      global_main ~slices:(int_of_string n) (Some path)
-  | [| _; "--global"; "--metrics-json"; path; "--conc-parallel-slices"; n |] ->
-      global_main ~slices:(int_of_string n) (Some path)
-  | _ ->
-      prerr_endline
-        "usage: main.exe [--metrics-json FILE | --classify | --obs-overhead \
-         | --promote [--metrics-json FILE] | --server [--metrics-json FILE] \
-         | --global [--conc-parallel-slices N] [--metrics-json FILE]]";
-      exit 2
+  let open Cmdliner in
+  let mode =
+    Arg.(
+      value
+      & vflag `Default
+          [
+            ( `Classify,
+              info [ "classify" ] ~doc:"Page-classification microbenchmark." );
+            ( `Obs_overhead,
+              info [ "obs-overhead" ]
+                ~doc:"Flight-recorder and streaming overhead; fails at 5%." );
+            ( `Promote,
+              info [ "promote" ] ~doc:"Promotion write-buffer bench (BENCH_6)." );
+            ( `Server,
+              info [ "server" ] ~doc:"Latency-SLO server sweep (BENCH_7)." );
+            ( `Global,
+              info [ "global" ]
+                ~doc:"STW vs concurrent global collection (BENCH_8)." );
+          ])
+  in
+  let json =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics-json" ] ~docv:"FILE"
+          ~doc:
+            "Write the mode's metrics JSON; without a mode, run the \
+             instrumented collector-telemetry runs instead of bechamel.")
+  in
+  let slices =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "conc-parallel-slices" ] ~docv:"N"
+          ~doc:"Evacuation slices per collector turn under $(b,--global).")
+  in
+  let info =
+    Cmd.info "main"
+      ~doc:"Host-cost benchmarks and the BENCH_6/7/8 virtual-time artifacts"
+  in
+  exit (Cmd.eval (Cmd.v info Term.(ret (const main $ mode $ json $ slices))))

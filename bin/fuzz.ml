@@ -9,7 +9,7 @@
      still-failing one with [--shrink].
 
    Exit codes: 0 all programs passed / replay passed; 1 divergence found;
-   2 usage or unreadable trace. *)
+   2 usage, out-of-range parameters or unreadable trace. *)
 
 open Cmdliner
 
@@ -103,9 +103,12 @@ let replay ~cfg ~shrink path =
 let main seed ops programs replay_file shrink no_shrink chaos fail_dir profile
     mode slices =
   let cfg = cfg_of ~chaos ~mode ~slices in
-  match replay_file with
-  | Some path -> replay ~cfg ~shrink path
-  | None -> (
+  match (Manticore_gc.Params.validate cfg.Fuzz.Engine.params, replay_file) with
+  | Error e, _ ->
+      Printf.eprintf "invalid parameters: %s\n" e;
+      2
+  | Ok (), Some path -> replay ~cfg ~shrink path
+  | Ok (), None -> (
       let log m = Printf.printf "%s\n%!" m in
       Printf.printf
         "fuzzing: %d program(s) x %d ops, base seed %d, %s global GC%s%s\n%!"

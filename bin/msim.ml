@@ -44,6 +44,12 @@ let run name machine_name threads policy_str global_mode_str global_budget
         Printf.eprintf "unknown global-mode %S (stw | concurrent)\n" s;
         exit 1
   in
+  let cores = Numa.Topology.n_cores machine in
+  if threads < 1 || threads > cores then begin
+    Printf.eprintf "thread count %d out of range for %s (1..%d)\n" threads
+      machine_name cores;
+    exit 1
+  end;
   let base = Harness.Run_config.default ~machine ~n_vprocs:threads in
   let cfg =
     {
@@ -70,6 +76,11 @@ let run name machine_name threads policy_str global_mode_str global_budget
         };
     }
   in
+  (match Manticore_gc.Params.validate cfg.Harness.Run_config.params with
+  | Ok () -> ()
+  | Error e ->
+      Printf.eprintf "invalid parameters: %s\n" e;
+      exit 1);
   let o = Harness.Run_config.execute spec cfg in
   Printf.printf "%s on %s, %d threads, %s placement, scale %g\n" spec.name
     machine_name threads

@@ -3,8 +3,8 @@
 
     Instead of one all-vproc barrier covering the whole copy phase, the
     cycle runs as a sequence of bounded slices interleaved with mutator
-    execution.  [start] condemns every in-use global chunk and forwards
-    the runtime's global roots; each [step] then runs one slice on the
+    execution, running the {!Global_cycle} phases.  [start] condemns
+    every in-use global chunk; each [step] then runs one slice on the
     vproc with the smallest virtual clock:
 
     - a {e handshake} for a vproc that has not yet entered the cycle —
@@ -26,7 +26,8 @@
 
     When no work remains the cycle {e ratifies}: one short barrier
     drains the residual log, rescans the {e dirty} vprocs' root sets and
-    local heaps, closes the residual to-space scan, and releases
+    local heaps and the global roots, closes the residual to-space scan,
+    keeps the stopped vprocs' forwarded targets, and releases
     from-space.  With {!Params.conc_ratify_dirty_only} (the default)
     only vprocs whose from-space re-acquisition taint changed since
     their last (re-)handshake are stopped ({!Ctx.read_word} counts every
@@ -54,8 +55,8 @@ val active : Ctx.t -> bool
 (** A concurrent cycle is in flight (between [start] and the ratify). *)
 
 val start : ?cause:Obs.Gc_cause.t -> Ctx.t -> unit
-(** Begin a cycle: condemn the in-use chunks, forward the global roots.
-    No-op if a cycle is already active.  [cause] defaults to [Forced]. *)
+(** Begin a cycle: condemn the in-use chunks.  No-op if a cycle is
+    already active.  [cause] defaults to [Forced]. *)
 
 val step : Ctx.t -> bool
 (** Run one bounded slice on the minimum-clock vproc.  Returns [true]

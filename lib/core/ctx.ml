@@ -13,13 +13,25 @@ type mutator = {
   stats : Gc_stats.t;
 }
 
+(* One global collection's evacuation state, whichever collector runs
+   it (Global_cycle): the STW collector builds one per run, the
+   concurrent one keeps it in its [conc_state] for the cycle. *)
+type evac = {
+  ev_cause : Obs.Gc_cause.t;
+  mutable ev_from : Sim_mem.Chunk.t list;  (* condemned (from-space) chunks *)
+  ev_large : int Queue.t;  (* marked large objects pending a field scan *)
+  ev_copied_by : int array;  (* bytes evacuated, per vproc *)
+  ev_claims : (int, int) Hashtbl.t;
+      (* Chunk.id -> claiming vproc, for parallel evacuation slices:
+         helpers prefer unclaimed chunks and pay the claim sync again on
+         a takeover, so two slices in one turn scan distinct chunks *)
+}
+
 (* In-flight concurrent global collection.  The state lives here (not in
    Concurrent_gc) so the mutator write barrier, the scheduler, and the
    checkers can consult it without a dependency cycle. *)
 type conc_state = {
-  cg_cause : Obs.Gc_cause.t;
-  mutable cg_from : Sim_mem.Chunk.t list;  (* condemned (from-space) chunks *)
-  cg_large : int Queue.t;  (* marked large objects pending a field scan *)
+  cg_evac : evac;
   cg_log : Remember.t;
       (* mutation log, active generation (N+1): global slots stored to
          while evacuation is in progress — re-forwarded before the
@@ -30,7 +42,6 @@ type conc_state = {
          snapshot the collector is working through while mutators keep
          appending to [cg_log].  Only the flip itself needs the barrier. *)
   mutable cg_drain_pos : int;  (* next unprocessed slot in [cg_drain] *)
-  cg_copied_by : int array;  (* bytes evacuated, per vproc *)
   cg_entered : bool array;  (* per-vproc root handshake done *)
   cg_keep_done : bool array;
       (* per-vproc overlapped conservative-keep pass done (local
@@ -51,10 +62,6 @@ type conc_state = {
          barrier-free while the cycle is otherwise quiescent (bounded
          rounds), so the ratify barrier stops only vprocs dirtied since
          their last re-clean *)
-  cg_claims : (int, int) Hashtbl.t;
-      (* Chunk.id -> claiming vproc, for parallel evacuation slices:
-         helpers prefer unclaimed chunks and pay the claim sync again on
-         a takeover, so two slices in one turn scan distinct chunks *)
   cg_t_start : float;  (* virtual time the collection started *)
   mutable cg_slices : int;
   cg_cycle : int;
@@ -162,7 +169,7 @@ let n_vprocs t = Array.length t.muts
 let conc_active t = t.conc <> None
 
 let conc_from_chunks t =
-  match t.conc with None -> [] | Some st -> st.cg_from
+  match t.conc with None -> [] | Some st -> st.cg_evac.ev_from
 let set_safe_point_hook t f = t.safe_point_hook <- f
 let request_global_gc t = t.global_gc_pending <- true
 let set_global_budget t b = t.global_budget_bytes <- b

@@ -29,13 +29,23 @@ type mutator = {
   stats : Gc_stats.t;
 }
 
-type conc_state = {
-  cg_cause : Obs.Gc_cause.t;  (** why this collection was requested *)
-  mutable cg_from : Sim_mem.Chunk.t list;
-      (** condemned (from-space) chunks still awaiting evacuation; their
-          [Chunk.from_space] flags are set for the cycle's duration *)
-  cg_large : int Queue.t;
+type evac = {
+  ev_cause : Obs.Gc_cause.t;  (** why this collection was requested *)
+  mutable ev_from : Sim_mem.Chunk.t list;
+      (** condemned (from-space) chunks; their [Chunk.from_space] flags
+          are set until the collection releases them *)
+  ev_large : int Queue.t;
       (** marked large objects whose fields still need scanning *)
+  ev_copied_by : int array;  (** bytes evacuated, per vproc *)
+  ev_claims : (int, int) Hashtbl.t;
+      (** [Chunk.id -> vproc] evacuation claims for parallel slices;
+          empty under the STW collector *)
+}
+(** One global collection's evacuation state, shared by both collectors
+    (see {!Global_cycle}). *)
+
+type conc_state = {
+  cg_evac : evac;  (** the cycle's evacuation state *)
   cg_log : Remember.t;
       (** mutation log, active generation: global slots the write
           barrier saw stores to while evacuation was in progress.
@@ -45,7 +55,6 @@ type conc_state = {
       (** mutation log, draining generation: an address-sorted snapshot
           the collector works through concurrently *)
   mutable cg_drain_pos : int;  (** next unprocessed slot in [cg_drain] *)
-  cg_copied_by : int array;  (** bytes evacuated, per vproc *)
   cg_entered : bool array;  (** per-vproc root handshake done *)
   cg_keep_done : bool array;
       (** per-vproc overlapped conservative-keep pass done *)
@@ -60,8 +69,6 @@ type conc_state = {
       (** per-vproc count of barrier-free re-clean slices this cycle
           (re-handshakes of tainted vprocs while the cycle is quiescent,
           so the ratify stops only vprocs dirtied since) *)
-  cg_claims : (int, int) Hashtbl.t;
-      (** [Chunk.id -> vproc] evacuation claims for parallel slices *)
   cg_t_start : float;  (** virtual time the collection started *)
   mutable cg_slices : int;  (** collector slices run so far *)
   cg_cycle : int;
@@ -176,6 +183,9 @@ val read_word : t -> mutator -> int -> int
     cycle is in flight, mutator-context loads that touch a condemned
     address or return a from-space pointer bump the vproc's
     re-acquisition taint (see {!conc_state}). *)
+
+val in_condemned : t -> int -> bool
+(** Does the address lie in a condemned (from-space) global chunk? *)
 
 val conc_taint : t -> mutator -> Value.t -> unit
 (** Explicit taint for values that reach [m] without a heap read — a

@@ -1,40 +1,46 @@
 (** The parallel stop-the-world global collection (paper §3.4).
 
-    Triggered when the in-use chunk bytes exceed the budget.  The
-    triggering vproc becomes the leader; every vproc is brought to a safe
+    Triggered when the in-use chunk bytes exceed the budget.  The vproc
+    with the smallest clock leads; every vproc is brought to a safe
     point (in the real runtime by zeroing its allocation-limit pointer;
-    here by the scheduler's barrier), performs its minor and major
-    collections, and then joins the parallel copying phase:
+    here by the scheduler's barrier) and runs its minor and major
+    collections, and after an entry barrier all of them run the
+    {!Global_cycle} phases back to back:
 
-    + all in-use chunks become from-space, gathered per NUMA node;
-    + each vproc evacuates its roots, proxies, and young data's global
-      targets into a fresh to-space chunk of its own;
-    + vprocs repeatedly claim unscanned to-space chunks — preferring
-      chunks resident on their own node — and scan them Cheney-style,
-      evacuating reachable from-space objects as they go;
-    + when no unscanned data remains anywhere, from-space chunks return
-      to the free pool and execution resumes.
+    + condemn: all in-use chunks become from-space;
+    + roots: each vproc forwards its roots, proxies and local-heap
+      referents into a to-space chunk of its own, and the leader the
+      global roots;
+    + Cheney: vprocs claim unscanned to-space chunks — preferring chunks
+      resident on their own node — and scan them, evacuating reachable
+      from-space objects as they go;
+    + retarget: the conservative keep pass over local forwarding words,
+      then a closing fixpoint;
+    + sweep: the pre-release audit, then from-space returns to the free
+      pool and unmarked large objects are swept;
+    + exit: a final barrier, the per-vproc pause records and the
+      end-of-cycle bookkeeping.
 
     Parallelism is simulated by charging each unit of claimed work to the
     claiming vproc's virtual clock and always handing the next unit to
-    the vproc whose clock is smallest; the final barrier advances every
-    clock to the maximum. *)
+    the vproc whose clock is smallest; the barriers advance every clock
+    to the maximum. *)
 
 val run : ?cause:Obs.Gc_cause.t -> Ctx.t -> unit
 (** Requires every mutator to be stopped at a safe point (no fiber holds
     an unrooted heap reference).  [cause] (default [Forced]) attributes
     the collection — and the per-vproc minors/majors it runs — in the
-    trace, metrics, and flight recorder. *)
+    trace, metrics, and flight recorder.  Raises [Failure] while a
+    concurrent cycle is in flight. *)
+
+val dispatch : ?idle:(int -> bool) -> Ctx.t -> unit
+(** Service a pending global collection: an in-flight concurrent cycle
+    advances by one {!Concurrent_gc.step_turn} (assists go to the vprocs
+    [idle] accepts; default none); otherwise {!Params.Stw} runs a full
+    collection and {!Params.Concurrent} starts a cycle.  The scheduler
+    calls this once per turn while a collection is pending. *)
 
 val install_sync_hook : Ctx.t -> unit
-(** Make allocation safe points advance the configured global collector
-    synchronously — appropriate for single-threaded use and tests.  Under
-    {!Params.Stw} a safe point runs a full collection; under
-    {!Params.Concurrent} the first safe point starts a cycle and each
-    subsequent one advances it by a single bounded {!Concurrent_gc.step}
-    slice.  The scheduler installs its own hook instead. *)
-
-val leader : Ctx.t -> int
-(** The vproc that would lead a collection right now (the one with the
-    smallest virtual clock is used as a deterministic stand-in for "the
-    vproc that noticed first"). *)
+(** Make allocation safe points {!dispatch} synchronously — appropriate
+    for single-threaded use and tests.  The scheduler installs its own
+    hook instead. *)

@@ -1038,32 +1038,17 @@ let run t ~main =
     match fut.fstate with
     | Done _ -> ()
     | _ ->
-        (* A requested global collection runs according to the configured
-           mode: STW collects on the spot (every fiber is parked at a
-           rooted suspension point here); concurrent starts a cycle and
-           advances it one bounded slice per scheduler turn, so collector
-           work interleaves with the mutator moves below. *)
-        (if t.c.Ctx.global_gc_pending then
-           match t.c.Ctx.params.Params.global_gc_mode with
-           | Params.Stw ->
-               Global_gc.run ~cause:Obs.Gc_cause.Global_threshold t.c
-           | Params.Concurrent ->
-               if Concurrent_gc.active t.c then begin
-                 dbg "gc step";
-                 (* The lead slice runs on the minimum-clock vproc; with
-                    [conc_parallel_slices > 1] further evacuation slices
-                    are dispatched on distinct idle vprocs in the same
-                    turn, so the collector uses cores the mutators are
-                    not. *)
-                 ignore
-                   (Concurrent_gc.step_turn t.c ~idle:(fun v ->
-                        let vp = t.vprocs.(v) in
-                        Queue.is_empty vp.runnable && Deque.is_empty vp.deque))
-               end
-               else begin
-                 dbg "gc start";
-                 Concurrent_gc.start ~cause:Obs.Gc_cause.Global_threshold t.c
-               end);
+        (* A requested global collection: STW collects on the spot
+           (every fiber is parked at a rooted suspension point here);
+           concurrent starts a cycle and advances it one bounded slice
+           per scheduler turn, so collector work interleaves with the
+           mutator moves below.  With [conc_parallel_slices > 1] further
+           evacuation slices run on distinct idle vprocs in the same
+           turn, so the collector uses cores the mutators are not. *)
+        if t.c.Ctx.global_gc_pending then
+          Global_gc.dispatch t.c ~idle:(fun v ->
+              let vp = t.vprocs.(v) in
+              Queue.is_empty vp.runnable && Deque.is_empty vp.deque);
         begin
           match next_move t with
           | Some (_, mv) ->

@@ -19,6 +19,11 @@ let in_from_space ctx v =
     (fun c -> p >= c.Sim_mem.Chunk.base && p < c.Sim_mem.Chunk.base + c.Sim_mem.Chunk.bytes)
     (Ctx.conc_from_chunks ctx)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let test_conc_preserves_reachable () =
   let ctx = Gc_util.mk_ctx () in
   let m = Ctx.mutator ctx 0 in
@@ -468,14 +473,14 @@ let test_parallel_slices_distinct_chunks () =
     ignore (Concurrent_gc.step ctx)
   done;
   (* One turn: the lead slice plus one assist on the other (idle) vproc. *)
-  let before = Array.copy st.Ctx.cg_copied_by in
+  let before = Array.copy st.Ctx.cg_evac.Ctx.ev_copied_by in
   ignore (Concurrent_gc.step_turn ctx ~idle:(fun _ -> true));
   Alcotest.(check bool) "vproc 0 copied bytes this turn" true
-    (st.Ctx.cg_copied_by.(0) > before.(0));
+    (st.Ctx.cg_evac.Ctx.ev_copied_by.(0) > before.(0));
   Alcotest.(check bool) "vproc 1 copied bytes this turn" true
-    (st.Ctx.cg_copied_by.(1) > before.(1));
+    (st.Ctx.cg_evac.Ctx.ev_copied_by.(1) > before.(1));
   let claims =
-    Hashtbl.fold (fun chunk owner acc -> (chunk, owner) :: acc) st.Ctx.cg_claims
+    Hashtbl.fold (fun chunk owner acc -> (chunk, owner) :: acc) st.Ctx.cg_evac.Ctx.ev_claims
       []
   in
   let chunks_of v =
@@ -531,6 +536,49 @@ let test_stw_refuses_mid_cycle () =
   Concurrent_gc.finish ctx;
   Gc_util.assert_invariants ctx
 
+let test_audit_raises_on_untainted_stash () =
+  (* The pre-release audit is fatal: a vproc that finished its handshake
+     and stays clean is skipped by the ratify, so a condemned address
+     handed to one of its roots without [Ctx.conc_taint] would survive
+     the release.  With CONC_GC_AUDIT=1 the collection must raise, naming
+     the root, instead of releasing from-space under it. *)
+  let ctx = Gc_util.mk_ctx ~params:conc_params () in
+  let m0 = Ctx.mutator ctx 0 and m1 = Ctx.mutator ctx 1 in
+  let cell =
+    Roots.add m0.Ctx.roots
+      (Promote.value ctx m0 (Gc_util.build_list ctx m0 [ 1; 2 ]))
+  in
+  Concurrent_gc.start ctx;
+  let stale = Roots.get cell in
+  let st =
+    match ctx.Ctx.conc with
+    | Some st -> st
+    | None -> Alcotest.fail "cycle ratified too early"
+  in
+  let guard = ref 0 in
+  while not (st.Ctx.cg_entered.(0) && st.Ctx.cg_entered.(1)) do
+    incr guard;
+    if !guard > 10_000 then Alcotest.fail "handshakes never completed";
+    ignore (Concurrent_gc.step ctx)
+  done;
+  Alcotest.(check bool) "stashed value is in from-space" true
+    (in_from_space ctx stale);
+  ignore (Roots.add m1.Ctx.roots stale);
+  (* Keep vproc 1 off the ratify lead, so only the audit can see it. *)
+  Ctx.charge_ns m1 1e9;
+  let saved = Option.value (Sys.getenv_opt "CONC_GC_AUDIT") ~default:"" in
+  Unix.putenv "CONC_GC_AUDIT" "1";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "CONC_GC_AUDIT" saved)
+    (fun () ->
+      match Concurrent_gc.finish ctx with
+      | () -> Alcotest.fail "audit let a condemned root through the release"
+      | exception Failure msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "audit names vproc 1's root (%s)" msg)
+            true
+            (contains msg "v1 root"))
+
 let prop_conc_gc_random_graphs =
   QCheck.Test.make ~name:"concurrent GC preserves random graphs" ~count:30
     QCheck.(pair (int_range 0 6) (int_range 1 1000))
@@ -577,5 +625,7 @@ let suite =
         test_parallel_slices_distinct_chunks;
       Alcotest.test_case "STW refuses while a cycle is in flight" `Quick
         test_stw_refuses_mid_cycle;
+      Alcotest.test_case "audit raises on an untainted stash" `Quick
+        test_audit_raises_on_untainted_stash;
       QCheck_alcotest.to_alcotest prop_conc_gc_random_graphs;
     ] )

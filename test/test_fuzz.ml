@@ -151,6 +151,43 @@ let test_shrink_respects_budget () =
   Alcotest.(check bool) "bounded" true (st.Fuzz.Shrink.runs <= 37);
   Alcotest.(check bool) "oracle calls = reported runs" true (!runs = st.Fuzz.Shrink.runs)
 
+(* -- regression traces ------------------------------------------------ *)
+
+(* A shrunk STW program: an entry major promotes an old object and,
+   through one of its fields, a young one, then slides the young block
+   down, leaving the young object's forwarding word live in the local
+   heap.  Nothing else reaches the promoted pair, so only the keep pass
+   evacuates its target before from-space is released; without it,
+   later walks of the local heap read the object's size from a released
+   chunk. *)
+let stw_keep_trace =
+  {|# seed 4349
+vec 2 7 0,7
+minor 2
+vec 2 4 7,0,6,0
+raw 1 2 230 404558872
+raw 1 1 614 549638709
+raw 1 5 225 684031888
+setf 2 7 28 4
+vec 0 4 7,6,3
+raw 2 4 580 786475844
+vec 2 7 3
+fillvec 1 2 530 3
+raw 0 6 614 828830718
+promote 0 4
+raw 1 1 187 576199101
+raw 2 2 615 480610702
+|}
+
+let test_stw_keeps_forwarded_targets () =
+  match Fuzz.Op.trace_of_string stw_keep_trace with
+  | Error m -> Alcotest.failf "trace did not parse: %s" m
+  | Ok ops -> (
+      match Fuzz.Engine.run_trace ops with
+      | Fuzz.Engine.Passed _ -> ()
+      | Fuzz.Engine.Failed { op_index; message; _ } ->
+          Alcotest.failf "diverged at op %d: %s" op_index message)
+
 (* -- end to end: injected fault -> small replayable reproducer ------- *)
 
 let chaos_cfg =
@@ -232,6 +269,8 @@ let suite =
         test_shrink_non_failing_is_identity;
       Alcotest.test_case "shrink: budget respected" `Quick
         test_shrink_respects_budget;
+      Alcotest.test_case "STW keeps forwarded local targets" `Quick
+        test_stw_keeps_forwarded_targets;
       Alcotest.test_case "chaos fault caught and shrunk" `Quick
         test_chaos_caught_and_shrunk;
       Alcotest.test_case "failure carries the event dump" `Quick

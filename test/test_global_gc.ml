@@ -190,6 +190,34 @@ let prop_global_gc_random_graphs =
       Gc_util.snapshot ctx (Roots.get cell) = before
       && Result.is_ok (Ctx.check_invariants ctx))
 
+let test_budget_regrowth_both_modes () =
+  (* End-of-cycle regrowth, shared by both collectors: when the live
+     bytes exceed two thirds of the budget, the budget becomes twice the
+     live bytes; a roomy budget is left alone. *)
+  List.iter
+    (fun (mode, collect) ->
+      let ctx = Gc_util.mk_ctx () in
+      let m = Ctx.mutator ctx 0 in
+      let list = Gc_util.build_list ctx m (List.init 200 Fun.id) in
+      let _cell = Roots.add m.Ctx.roots (Promote.value ctx m list) in
+      let roomy = 100 * Global_heap.in_use_bytes ctx.Ctx.global in
+      Ctx.set_global_budget ctx roomy;
+      collect ctx;
+      Alcotest.(check int) (mode ^ ": roomy budget kept") roomy
+        ctx.Ctx.global_budget_bytes;
+      Ctx.set_global_budget ctx (Global_heap.chunk_bytes ctx.Ctx.global);
+      collect ctx;
+      let live = Global_heap.in_use_bytes ctx.Ctx.global in
+      Alcotest.(check bool) (mode ^ ": live data spans chunks") true
+        (live > Global_heap.chunk_bytes ctx.Ctx.global);
+      Alcotest.(check int) (mode ^ ": budget regrown to twice the live bytes")
+        (2 * live) ctx.Ctx.global_budget_bytes;
+      Gc_util.assert_invariants ctx)
+    [
+      ("stw", fun ctx -> Global_gc.run ctx);
+      ("concurrent", fun ctx -> Concurrent_gc.run ctx);
+    ]
+
 let suite =
   ( "global_gc",
     [
@@ -208,5 +236,7 @@ let suite =
         test_global_node_affinity_of_chunks;
       Alcotest.test_case "copied-byte accounting is exact per vproc" `Quick
         test_global_copied_byte_accounting;
+      Alcotest.test_case "budget regrowth in both modes" `Quick
+        test_budget_regrowth_both_modes;
       QCheck_alcotest.to_alcotest prop_global_gc_random_graphs;
     ] )
