@@ -34,27 +34,24 @@ let write_file path s =
   close_out oc;
   Printf.eprintf "wrote %s\n" path
 
-let kinds =
-  [| Event.Minor; Event.Major; Event.Promotion; Event.Global; Event.Barrier |]
+let n_kinds = Array.length Event.kinds
 
-let kind_index = function
-  | Event.Minor -> 0
-  | Event.Major -> 1
-  | Event.Promotion -> 2
-  | Event.Global -> 3
-  | Event.Barrier -> 4
+(* Position of [x] in [arr], or [Array.length arr] when absent. *)
+let index_in arr x =
+  let rec go i = if i = Array.length arr || arr.(i) = x then i else go (i + 1) in
+  go 0
 
 (* Every collection's cause rides in its [Coll_end] event, so attribution
    survives ring overwrite of the matching [Coll_begin]. *)
 let attribution r =
-  let counts = Array.make_matrix (Array.length kinds) Cause.n_codes 0 in
-  let bytes = Array.make_matrix (Array.length kinds) Cause.n_codes 0 in
+  let counts = Array.make_matrix n_kinds Cause.n_codes 0 in
+  let bytes = Array.make_matrix n_kinds Cause.n_codes 0 in
   for v = 0 to Obs.Recorder.n_vprocs r - 1 do
     List.iter
       (fun (_, _, ev) ->
         match ev with
         | Event.Coll_end { kind; cause; bytes = b } ->
-            let k = kind_index kind and c = Cause.code cause in
+            let k = Event.kind_code kind and c = Cause.code cause in
             counts.(k).(c) <- counts.(k).(c) + 1;
             bytes.(k).(c) <- bytes.(k).(c) + b
         | _ -> ())
@@ -69,14 +66,13 @@ let print_attribution r =
   print_string "pause attribution (recorded collections by kind x cause):\n";
   Printf.printf "  %-10s %-22s %8s %12s\n" "kind" "cause" "count" "bytes";
   Array.iteri
-    (fun k kind ->
+    (fun k (_, name) ->
       for c = 0 to Cause.n_codes - 1 do
         if counts.(k).(c) > 0 then
-          Printf.printf "  %-10s %-22s %8d %12d\n"
-            (Event.kind_to_string kind)
-            (Cause.code_name c) counts.(k).(c) bytes.(k).(c)
+          Printf.printf "  %-10s %-22s %8d %12d\n" name (Cause.code_name c)
+            counts.(k).(c) bytes.(k).(c)
       done)
-    kinds;
+    Event.kinds;
   let total_bytes = Array.fold_left (Array.fold_left ( + )) 0 bytes in
   Printf.printf "  %-10s %-22s %8d %12d\n" "total" "" total total_bytes;
   if total = 0 then print_string "cause attribution: no collections recorded\n"
@@ -95,15 +91,15 @@ let reconstruct r =
   let orphans = ref 0 in
   let recorded = ref [] in
   for v = 0 to Obs.Recorder.n_vprocs r - 1 do
-    let pending = Array.make (Array.length kinds) [] in
+    let pending = Array.make n_kinds [] in
     List.iter
       (fun (_, t_ns, ev) ->
         match ev with
         | Event.Coll_begin { kind; _ } ->
-            let k = kind_index kind in
+            let k = Event.kind_code kind in
             pending.(k) <- t_ns :: pending.(k)
         | Event.Coll_end { kind; cause; bytes } -> (
-            let k = kind_index kind in
+            let k = Event.kind_code kind in
             match pending.(k) with
             | t0 :: rest ->
                 pending.(k) <- rest;
@@ -181,14 +177,6 @@ let print_counters r =
 let conc_phases =
   [| Event.Mark; Event.Claim; Event.Evacuate; Event.Handshake; Event.Retarget |]
 
-let conc_phase_index = function
-  | Event.Mark -> 0
-  | Event.Claim -> 1
-  | Event.Evacuate -> 2
-  | Event.Handshake -> 3
-  | Event.Retarget -> 4
-  | _ -> -1
-
 let print_conc_phases r =
   let n_vprocs = Obs.Recorder.n_vprocs r in
   let n_phases = Array.length conc_phases in
@@ -199,8 +187,8 @@ let print_conc_phases r =
       (fun (_, _, ev) ->
         match ev with
         | Event.Conc_phase { phase; dur_ns; _ } ->
-            let p = conc_phase_index phase in
-            if p >= 0 then begin
+            let p = index_in conc_phases phase in
+            if p < n_phases then begin
               sums.(v).(p) <- sums.(v).(p) + dur_ns;
               total := !total + dur_ns
             end
@@ -361,8 +349,8 @@ let print_request_latencies r colls =
       (100. *. slow_gc /. Float.max 1. slow_lat);
     (* Which collections those windows overlap, by kind x cause: the
        bridge from a latency SLO miss back to its GC origin. *)
-    let counts = Array.make_matrix (Array.length kinds) Cause.n_codes 0 in
-    let overlap_ns = Array.make_matrix (Array.length kinds) Cause.n_codes 0. in
+    let counts = Array.make_matrix n_kinds Cause.n_codes 0 in
+    let overlap_ns = Array.make_matrix n_kinds Cause.n_codes 0. in
     List.iter
       (fun c ->
         let touched =
@@ -374,14 +362,15 @@ let print_request_latencies r colls =
             0. slow
         in
         if touched > 0. then begin
-          let k = kind_index c.Trace.kind and cc = Cause.code c.Trace.cause in
+          let k = Event.kind_code c.Trace.kind
+          and cc = Cause.code c.Trace.cause in
           counts.(k).(cc) <- counts.(k).(cc) + 1;
           overlap_ns.(k).(cc) <- overlap_ns.(k).(cc) +. touched
         end)
       colls;
     let any = ref false in
     Array.iteri
-      (fun k kind ->
+      (fun k (_, name) ->
         for c = 0 to Cause.n_codes - 1 do
           if counts.(k).(c) > 0 then begin
             if not !any then begin
@@ -389,14 +378,13 @@ let print_request_latencies r colls =
               Printf.printf "  %-10s %-22s %8s %12s %7s\n" "kind" "cause"
                 "pauses" "overlap_us" "share"
             end;
-            Printf.printf "  %-10s %-22s %8d %12.1f %6.1f%%\n"
-              (Event.kind_to_string kind)
+            Printf.printf "  %-10s %-22s %8d %12.1f %6.1f%%\n" name
               (Cause.code_name c) counts.(k).(c)
               (us overlap_ns.(k).(c))
               (100. *. overlap_ns.(k).(c) /. Float.max 1. slow_lat)
           end
         done)
-      kinds;
+      Event.kinds;
     if not !any then
       print_string "  (no collections overlap the slow requests)\n"
   end
@@ -474,10 +462,7 @@ let blame_phases =
     Event.Evacuate;
   |]
 
-let blame_rank p =
-  let r = ref (Array.length blame_phases) in
-  Array.iteri (fun i q -> if p = q then r := i) blame_phases;
-  !r
+let blame_rank = index_in blame_phases
 
 (* Sweep the cycle window's elementary segments, assigning each to the
    highest-priority phase whose slice interval covers it (or to

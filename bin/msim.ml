@@ -93,11 +93,9 @@ let run name machine_name threads policy_str global_mode_str global_budget
   Printf.printf "  scheduler     %d spawns, %d steals, %d inline runs, %d yields\n"
     s.Runtime.Sched.spawns s.Runtime.Sched.steals s.Runtime.Sched.inline_runs
     s.Runtime.Sched.yields;
-  if verbose then begin
-    let g = o.Harness.Run_config.gc in
-    Format.printf "  @[<v2>collector:@,%a@,global collections: %d@]@."
-      Manticore_gc.Gc_stats.pp g o.Harness.Run_config.globals
-  end;
+  if verbose then
+    Format.printf "  @[<v2>collector:@,%a@]@." Manticore_gc.Gc_stats.pp
+      o.Harness.Run_config.gc;
   if verbose then print_string (Harness.Run_config.metrics_block o);
   (if trace then Option.iter print_string o.Harness.Run_config.timeline);
   Option.iter print_string o.Harness.Run_config.census_report;

@@ -84,9 +84,7 @@ let () =
     (Value.to_int result) expect;
   let s = Sched.stats rt in
   Printf.printf "channel sends: %d; messages promoted by senders\n" s.Sched.sends;
-  let gc =
-    Gc_stats.total (Array.init 8 (fun i -> (Ctx.mutator ctx i).Ctx.stats))
-  in
+  let gc = Ctx.gc_totals ctx in
   Printf.printf "promotions: %d (%d bytes crossed into the global heap)\n"
     gc.Gc_stats.promote_count gc.Gc_stats.promoted_bytes;
   Printf.printf "simulated time: %.1f us\n" (Sched.elapsed_ns rt /. 1e3)

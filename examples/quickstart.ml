@@ -59,8 +59,7 @@ let () =
   let s = Sched.stats rt in
   Printf.printf "scheduler: %d spawns, %d steals, %d inline runs\n"
     s.Sched.spawns s.Sched.steals s.Sched.inline_runs;
-  let gc = Gc_stats.total (Array.init 16 (fun i -> (Ctx.mutator ctx i).Ctx.stats)) in
-  Format.printf "collector: @[%a@]@." Gc_stats.pp gc;
+  Format.printf "collector: @[%a@]@." Gc_stats.pp (Ctx.gc_totals ctx);
   match Ctx.check_invariants ctx with
   | Ok summary ->
       Printf.printf "heap invariants hold: %d live objects (%d local, %d global)\n"

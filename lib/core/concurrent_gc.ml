@@ -75,16 +75,15 @@ let slice ctx (st : Ctx.conc_state) (m : Ctx.mutator) ~phases work =
   m.Ctx.in_gc <- true;
   work ();
   m.Ctx.in_gc <- false;
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:t0
-    (Obs.Event.Coll_begin { kind = Global; cause });
+  Ctx.emit ctx m ~t_ns:t0 (Obs.Event.Coll_begin { kind = Global; cause });
   List.iter
     (fun (phase, dur_ns) ->
       if dur_ns > 0. then
-        Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
+        Ctx.emit ctx m
           (Obs.Event.Conc_phase
              { cycle = st.Ctx.cg_cycle; phase; dur_ns = int_of_float dur_ns }))
     (phases (m.Ctx.now_ns -. t0));
-  Global_cycle.record_end ~count_cause:false ctx ~cause m ~t_start:t0
+  Ctx.span ~slice:true ctx m Global ~cause ~t_start:t0
     ~bytes:(ev.Ctx.ev_copied_by.(m.Ctx.id) - b0)
 
 let one phase d = [ (phase, d) ]
@@ -270,7 +269,7 @@ let record_round ctx (st : Ctx.conc_state) ~(lead : Ctx.mutator) ~member
         if m.Ctx.now_ns < !t_min then t_min := m.Ctx.now_ns
       end)
     ctx.Ctx.muts;
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:lead.Ctx.id ~t_ns:t
+  Ctx.emit ctx lead ~t_ns:t
     (Obs.Event.Conc_round
        {
          cycle = st.Ctx.cg_cycle;
@@ -284,10 +283,9 @@ let record_round ctx (st : Ctx.conc_state) ~(lead : Ctx.mutator) ~member
 let entry_round ctx (st : Ctx.conc_state) ~lead ~member =
   let cause = st.Ctx.cg_evac.Ctx.ev_cause in
   Array.iter
-    (fun (m : Ctx.mutator) ->
+    (fun m ->
       if member m then
-        Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-          (Obs.Event.Coll_begin { kind = Global; cause }))
+        Ctx.emit ctx m (Obs.Event.Coll_begin { kind = Global; cause }))
     ctx.Ctx.muts;
   Global_cycle.barrier ctx ~cause ~member
     ~on_sync:(record_round ctx st ~lead ~member ~exit:false)
@@ -315,7 +313,7 @@ let rescan ctx (st : Ctx.conc_state) ~(lead : Ctx.mutator) ~member =
 let exit_round ctx (st : Ctx.conc_state) ~(lead : Ctx.mutator) ~member ~t_sync =
   let on_sync t_exit =
     record_round ctx st ~lead ~member ~exit:true t_exit;
-    Obs.Recorder.record ctx.Ctx.obs ~vproc:lead.Ctx.id ~t_ns:t_exit
+    Ctx.emit ctx lead ~t_ns:t_exit
       (Obs.Event.Conc_phase
          {
            cycle = st.Ctx.cg_cycle;
@@ -334,17 +332,16 @@ let record_ratified ctx (st : Ctx.conc_state) ~(lead : Ctx.mutator) ~member =
   Array.iter
     (fun (m : Ctx.mutator) ->
       if member m then incr n_ratified;
-      Metrics.record_ratify ctx.Ctx.metrics ~vproc:m.Ctx.id
-        ~skipped:(not (member m)))
+      Ctx.ratify_outcome ctx m ~skipped:(not (member m)))
     ctx.Ctx.muts;
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:lead.Ctx.id ~t_ns:lead.Ctx.now_ns
+  Ctx.emit ctx lead
     (Obs.Event.Conc_ratify
        {
          cycle = st.Ctx.cg_cycle;
          ratified = !n_ratified;
          skipped = Ctx.n_vprocs ctx - !n_ratified;
        });
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:lead.Ctx.id ~t_ns:lead.Ctx.now_ns
+  Ctx.emit ctx lead
     (Obs.Event.Conc_cycle
        {
          cycle = st.Ctx.cg_cycle;
@@ -380,7 +377,7 @@ let ratify ctx (st : Ctx.conc_state) =
   Array.iter
     (fun (m : Ctx.mutator) ->
       if member m then
-        Global_cycle.record_end ctx ~cause:ev.Ctx.ev_cause m
+        Ctx.span ctx m Global ~cause:ev.Ctx.ev_cause
           ~t_start:arrivals.(m.Ctx.id)
           ~bytes:(ev.Ctx.ev_copied_by.(m.Ctx.id) - copied_before.(m.Ctx.id)))
     ctx.Ctx.muts;
@@ -506,8 +503,7 @@ let step_turn ctx ~idle =
             then incr assists)
           ctx.Ctx.muts;
         if !assists > 0 then
-          Obs.Recorder.record ctx.Ctx.obs ~vproc:lead.Ctx.id
-            ~t_ns:lead.Ctx.now_ns
+          Ctx.emit ctx lead
             (Obs.Event.Conc_slices
                { cycle = st.Ctx.cg_cycle; count = 1 + !assists })
       end;

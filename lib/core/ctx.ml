@@ -197,6 +197,81 @@ let iter_all_roots t f =
     t.muts;
   Roots.iter t.global_roots (fun c -> f ~vproc:None ~proxy:false c)
 
+(* Recording.  Every collector and scheduler fact is written here, once
+   per kind of fact, into the stores that keep it, always in the same
+   order: [m]'s Gc_stats counters, the timeline (a no-op unless enabled),
+   the metrics, and the flight-recorder ring last. *)
+
+let emit ?t_ns t m ev =
+  Obs.Recorder.record t.obs ~vproc:m.id
+    ~t_ns:(match t_ns with Some ns -> ns | None -> m.now_ns)
+    ev
+
+let span ?(slice = false) ?(batched = 0) t (m : mutator) (kind : Gc_trace.kind)
+    ~cause ~t_start ~bytes =
+  let s = m.stats in
+  (match kind with
+  | Minor ->
+      s.Gc_stats.minor_count <- s.Gc_stats.minor_count + 1;
+      s.Gc_stats.minor_copied_bytes <- s.Gc_stats.minor_copied_bytes + bytes
+  | Major ->
+      s.Gc_stats.major_count <- s.Gc_stats.major_count + 1;
+      s.Gc_stats.major_copied_bytes <- s.Gc_stats.major_copied_bytes + bytes
+  | Promotion ->
+      s.Gc_stats.promote_count <- s.Gc_stats.promote_count + 1;
+      s.Gc_stats.promote_batched_values <-
+        s.Gc_stats.promote_batched_values + batched;
+      s.Gc_stats.promoted_bytes <- s.Gc_stats.promoted_bytes + bytes
+  | Global ->
+      s.Gc_stats.global_copied_bytes <- s.Gc_stats.global_copied_bytes + bytes
+  | Barrier -> ());
+  let now = m.now_ns in
+  Gc_trace.record t.trace
+    {
+      Gc_trace.vproc = m.id;
+      kind;
+      cause;
+      node = m.node;
+      t_start_ns = t_start;
+      t_end_ns = now;
+      bytes;
+    };
+  Metrics.record_pause
+    ?cause:(if slice then None else Some cause)
+    ~t_ns:now t.metrics ~vproc:m.id ~kind ~ns:(now -. t_start) ~bytes;
+  emit t m (Obs.Event.Coll_end { kind; cause; bytes })
+
+let chunk_acquired t (m : mutator) ~node ~fresh =
+  m.stats.Gc_stats.chunk_acquires <- m.stats.Gc_stats.chunk_acquires + 1;
+  Metrics.record_chunk_acquire t.metrics ~vproc:m.id;
+  emit t m (Obs.Event.Chunk_acquire { node; fresh })
+
+let ratify_outcome t m ~skipped =
+  Metrics.record_ratify t.metrics ~vproc:m.id ~skipped
+
+let global_cycle_done t ~copied =
+  t.stats.Gc_stats.global_count <- t.stats.Gc_stats.global_count + 1;
+  t.stats.Gc_stats.global_copied_bytes <-
+    t.stats.Gc_stats.global_copied_bytes + copied
+
+let steal_probe t m ~victim ~success =
+  Metrics.record_steal t.metrics ~vproc:m.id ~success;
+  emit t m (Obs.Event.Steal_attempt { victim });
+  if success then emit t m (Obs.Event.Steal_success { victim })
+
+let request_done t m ~latency_ns =
+  Metrics.record_request ~t_ns:m.now_ns t.metrics ~vproc:m.id ~ns:latency_ns;
+  emit t m (Obs.Event.Req_done { latency_ns = int_of_float latency_ns })
+
+(* The run's totals: the per-vproc counters summed, with the global
+   collections, which only the context counts. *)
+let gc_totals t =
+  let acc =
+    Gc_stats.total (Array.map (fun (m : mutator) -> m.stats) t.muts)
+  in
+  acc.Gc_stats.global_count <- t.stats.Gc_stats.global_count;
+  acc
+
 let charge_ns m ns =
   m.now_ns <- m.now_ns +. ns;
   if m.in_gc then m.stats.Gc_stats.gc_ns <- m.stats.Gc_stats.gc_ns +. ns

@@ -26,7 +26,7 @@ type mutator = {
           barrier of {!Mut}); scanned and cleared by minor collections *)
   mutable now_ns : float;  (** the vproc's virtual clock *)
   mutable in_gc : bool;
-  stats : Gc_stats.t;
+  stats : Gc_stats.t;  (** the vproc's counters; see {!span} *)
 }
 
 type evac = {
@@ -115,7 +115,10 @@ type t = {
   mutable conc : conc_state option;
       (** the in-flight concurrent global collection, if any; owned by
           {!Concurrent_gc} *)
-  stats : Gc_stats.t;  (** aggregate of completed phases (global GCs) *)
+  stats : Gc_stats.t;
+      (** the global-collection tally ({!global_cycle_done}); the other
+          counters are per vproc.  This and the three stores below are
+          written only by the recording calls *)
   trace : Gc_trace.t;  (** collector event trace (disabled by default) *)
   metrics : Metrics.t;
       (** per-vproc pause/copied-byte distributions and steal/chunk
@@ -172,6 +175,60 @@ val iter_all_roots :
 (** Enumerate every root cell the runtime holds: per-vproc root and
     proxy cells ([vproc = Some id]) and the context-wide global roots
     ([vproc = None]).  Uncharged; intended for checkers. *)
+
+(** {2 Recording}
+
+    The only writers of the four telemetry stores (apart from
+    {!Alloc}'s allocation counters and sampler).  Each call records one
+    fact, in this order: the vproc's {!Gc_stats} counters, the
+    {!Gc_trace} timeline (when enabled), {!Metrics}, and the flight
+    recorder's ring last.  Recording never charges virtual time. *)
+
+val emit : ?t_ns:float -> t -> mutator -> Obs.Event.t -> unit
+(** A fact only the ring keeps (a span's [Coll_begin], phase markers,
+    chunk releases, [Conc_*] summaries), on [m]'s ring, stamped [t_ns]
+    (default: [m]'s clock). *)
+
+val span :
+  ?slice:bool ->
+  ?batched:int ->
+  t ->
+  mutator ->
+  Gc_trace.kind ->
+  cause:Obs.Gc_cause.t ->
+  t_start:float ->
+  bytes:int ->
+  unit
+(** [m]'s collection span of this kind ended at its clock, after
+    starting at [t_start] and copying [bytes]: its pause is the clock
+    minus [t_start].  Counts it in [m.stats] (a [Global] span adds only
+    its bytes; a [Barrier] wait counts nothing there), then records it
+    in the timeline, the metrics and as the ring's [Coll_end].
+    [batched] (default 0) is the values a promotion batch copied.
+    [slice] (default [false]) marks a concurrent-collector slice, which
+    the metrics do not count toward its cause: that is counted once per
+    collection, on the ratify spans. *)
+
+val chunk_acquired : t -> mutator -> node:int -> fresh:bool -> unit
+(** [m] acquired a global chunk homed on [node]; [fresh] when newly
+    mapped. *)
+
+val ratify_outcome : t -> mutator -> skipped:bool -> unit
+(** One concurrent cycle's ratify stopped [m], or left it running. *)
+
+val global_cycle_done : t -> copied:int -> unit
+(** A global collection finished, having copied [copied] bytes in all;
+    counted in the context's {!Gc_stats}. *)
+
+val steal_probe : t -> mutator -> victim:int -> success:bool -> unit
+(** [m] probed [victim]'s deque, and took an item when [success]. *)
+
+val request_done : t -> mutator -> latency_ns:float -> unit
+(** A request finished on [m], [latency_ns] after it arrived. *)
+
+val gc_totals : t -> Gc_stats.t
+(** The run's collector totals: every vproc's counters summed, with
+    [global_count] from the context, the only place it is counted. *)
 
 (** {2 Charging} *)
 

@@ -49,15 +49,8 @@ let global_dest ctx m ~on_copy =
                  > ctx.Ctx.global_budget_bytes
             then Ctx.request_global_gc ctx
         | `New_chunk (c, provenance) ->
-            m.Ctx.stats.Gc_stats.chunk_acquires <-
-              m.Ctx.stats.Gc_stats.chunk_acquires + 1;
-            Metrics.record_chunk_acquire ctx.Ctx.metrics ~vproc:m.Ctx.id;
-            Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-              (Obs.Event.Chunk_acquire
-                 {
-                   node = c.Sim_mem.Chunk.home_node;
-                   fresh = (provenance = `Fresh);
-                 });
+            Ctx.chunk_acquired ctx m ~node:c.Sim_mem.Chunk.home_node
+              ~fresh:(provenance = `Fresh);
             let cycles =
               match provenance with
               | `Reused -> ctx.Ctx.params.Params.chunk_local_sync_cycles

@@ -31,21 +31,6 @@ let create () =
     gc_ns = 0.;
   }
 
-let reset t =
-  t.minor_count <- 0;
-  t.major_count <- 0;
-  t.promote_count <- 0;
-  t.promote_batched_values <- 0;
-  t.global_count <- 0;
-  t.minor_copied_bytes <- 0;
-  t.major_copied_bytes <- 0;
-  t.promoted_bytes <- 0;
-  t.global_copied_bytes <- 0;
-  t.alloc_bytes <- 0;
-  t.global_alloc_bytes <- 0;
-  t.chunk_acquires <- 0;
-  t.gc_ns <- 0.
-
 let add ~into t =
   into.minor_count <- into.minor_count + t.minor_count;
   into.major_count <- into.major_count + t.major_count;

@@ -16,18 +16,9 @@ type t = { mutable events : event list; mutable on : bool }
 
 let create () = { events = []; on = false }
 let enable t = t.on <- true
-let disable t = t.on <- false
-let enabled t = t.on
 let record t e = if t.on then t.events <- e :: t.events
 let events t = List.rev t.events
 let clear t = t.events <- []
-
-let kind_to_string = function
-  | Minor -> "minor"
-  | Major -> "major"
-  | Promotion -> "promotion"
-  | Global -> "global"
-  | Barrier -> "barrier"
 
 let glyph = function
   | Minor -> '.'
@@ -119,7 +110,8 @@ let to_chrome_json t =
       emit
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"gc\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d,\"args\":{\"bytes\":%d,\"cause\":\"%s\",\"node\":%d}}"
-           (kind_to_string e.kind) (e.t_start_ns /. 1e3)
+           (Obs.Event.kind_to_string e.kind)
+           (e.t_start_ns /. 1e3)
            (Float.max 0. ((e.t_end_ns -. e.t_start_ns) /. 1e3))
            e.vproc e.bytes
            (Obs.Gc_cause.to_string e.cause)
@@ -144,19 +136,14 @@ let summary t =
       in
       Hashtbl.replace per_vproc key (vn + 1, vb + e.bytes))
     evs;
-  let line k =
+  let line (k, name) =
     match Hashtbl.find_opt tally k with
-    | None -> Printf.sprintf "  %-10s 0\n" (kind_to_string k)
-    | Some (n, b) ->
-        Printf.sprintf "  %-10s %5d events, %9d bytes\n" (kind_to_string k) n b
+    | None -> Printf.sprintf "  %-10s 0\n" name
+    | Some (n, b) -> Printf.sprintf "  %-10s %5d events, %9d bytes\n" name n b
   in
   let buf = Buffer.create 512 in
   Buffer.add_string buf "collector events:\n";
-  Buffer.add_string buf (line Minor);
-  Buffer.add_string buf (line Major);
-  Buffer.add_string buf (line Promotion);
-  Buffer.add_string buf (line Global);
-  Buffer.add_string buf (line Barrier);
+  Array.iter (fun k -> Buffer.add_string buf (line k)) Obs.Event.kinds;
   (* Per-vproc breakdown: only vprocs that recorded events, in order. *)
   let vprocs =
     List.sort_uniq compare (List.map (fun e -> e.vproc) evs)
@@ -166,14 +153,14 @@ let summary t =
     List.iter
       (fun v ->
         Buffer.add_string buf (Printf.sprintf "  v%02d:" v);
-        List.iter
-          (fun k ->
+        Array.iter
+          (fun (k, name) ->
             match Hashtbl.find_opt per_vproc (v, k) with
             | None -> ()
             | Some (n, b) ->
                 Buffer.add_string buf
-                  (Printf.sprintf " %s %d (%d bytes)" (kind_to_string k) n b))
-          [ Minor; Major; Promotion; Global; Barrier ];
+                  (Printf.sprintf " %s %d (%d bytes)" name n b))
+          Obs.Event.kinds;
         Buffer.add_char buf '\n')
       vprocs
   end;

@@ -31,8 +31,6 @@ val create : unit -> t
 (** Created disabled. *)
 
 val enable : t -> unit
-val disable : t -> unit
-val enabled : t -> bool
 
 val record : t -> event -> unit
 (** No-op when disabled. *)
@@ -41,7 +39,6 @@ val events : t -> event list
 (** In recording order. *)
 
 val clear : t -> unit
-val kind_to_string : kind -> string
 
 val render_timeline : ?width:int -> t -> n_vprocs:int -> string
 (** ASCII lanes, one per vproc: ['.'] minor, ['M'] major, ['p'] promotion,

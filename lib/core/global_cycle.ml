@@ -52,11 +52,7 @@ let dest ctx (ev : Ctx.evac) (m : Ctx.mutator) =
       let copied_by = ev.Ctx.ev_copied_by in
       if Global_heap.is_large ctx.Ctx.global dst then
         Queue.add dst ev.Ctx.ev_large
-      else begin
-        copied_by.(m.Ctx.id) <- copied_by.(m.Ctx.id) + bytes;
-        m.Ctx.stats.Gc_stats.global_copied_bytes <-
-          m.Ctx.stats.Gc_stats.global_copied_bytes + bytes
-      end)
+      else copied_by.(m.Ctx.id) <- copied_by.(m.Ctx.id) + bytes)
 
 (* Forward [m]'s roots, its proxy cells (the proxy objects themselves
    move) and every from-space referent of its local heap.  Both local
@@ -158,31 +154,12 @@ let fixpoint ctx ev ~next =
             done)
   done
 
-(* A vproc waited at a synchronization point from [t_from] to [t_to]:
-   record the wait as its own pause kind (nested inside the enclosing
-   Global span) so gcprof can attribute wait vs copy time. *)
-let record_barrier_wait ctx (m : Ctx.mutator) ~cause ~t_from ~t_to =
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:t_from
-    (Obs.Event.Coll_begin { kind = Barrier; cause });
-  Gc_trace.record ctx.Ctx.trace
-    {
-      Gc_trace.vproc = m.Ctx.id;
-      kind = Gc_trace.Barrier;
-      cause;
-      node = m.Ctx.node;
-      t_start_ns = t_from;
-      t_end_ns = t_to;
-      bytes = 0;
-    };
-  Metrics.record_pause ~cause ~t_ns:t_to ctx.Ctx.metrics ~vproc:m.Ctx.id
-    ~kind:Gc_trace.Barrier ~ns:(t_to -. t_from) ~bytes:0;
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:t_to
-    (Obs.Event.Coll_end { kind = Barrier; cause; bytes = 0 })
-
 (* One barrier round over the vprocs [member] accepts: nobody proceeds
    until the slowest arrives.  [on_sync] sees the barrier time first;
-   then each member records its dead wait, is brought level, and gets
-   [after].  Returns the barrier time. *)
+   then each member is brought level, and gets [after].  Its dead wait
+   is recorded as its own pause kind, nested inside the enclosing
+   Global span, so gcprof can attribute wait vs copy time.  Returns the
+   barrier time. *)
 let barrier ctx ~cause ~member ?(on_sync = ignore) after =
   let t =
     Array.fold_left
@@ -194,8 +171,10 @@ let barrier ctx ~cause ~member ?(on_sync = ignore) after =
   Array.iter
     (fun (m : Ctx.mutator) ->
       if member m then begin
-        record_barrier_wait ctx m ~cause ~t_from:m.Ctx.now_ns ~t_to:t;
+        let t_from = m.Ctx.now_ns in
+        Ctx.emit ctx m (Obs.Event.Coll_begin { kind = Barrier; cause });
         m.Ctx.now_ns <- t;
+        Ctx.span ctx m Barrier ~cause ~t_start:t_from ~bytes:0;
         after m
       end)
     ctx.Ctx.muts;
@@ -314,33 +293,11 @@ let release ctx (ev : Ctx.evac) ~(lead : Ctx.mutator) =
   List.iter
     (fun c ->
       c.Chunk.from_space <- false;
-      Obs.Recorder.record ctx.Ctx.obs ~vproc:lead.Ctx.id ~t_ns:lead.Ctx.now_ns
-        (Obs.Event.Chunk_release { node = c.Chunk.home_node });
+      Ctx.emit ctx lead (Obs.Event.Chunk_release { node = c.Chunk.home_node });
       Chunk.release (Global_heap.pool ctx.Ctx.global) c)
     ev.Ctx.ev_from;
   ev.Ctx.ev_from <- [];
   ignore (Global_heap.sweep_large ctx.Ctx.global)
-
-(* [m]'s Global pause from [t_start] to now, with the bytes it copied;
-   [count_cause] says whether the metrics count it toward its cause. *)
-let record_end ?(count_cause = true) ctx ~cause (m : Ctx.mutator) ~t_start
-    ~bytes =
-  Gc_trace.record ctx.Ctx.trace
-    {
-      Gc_trace.vproc = m.Ctx.id;
-      kind = Gc_trace.Global;
-      cause;
-      node = m.Ctx.node;
-      t_start_ns = t_start;
-      t_end_ns = m.Ctx.now_ns;
-      bytes;
-    };
-  Metrics.record_pause
-    ?cause:(if count_cause then Some cause else None)
-    ~t_ns:m.Ctx.now_ns ctx.Ctx.metrics ~vproc:m.Ctx.id ~kind:Gc_trace.Global
-    ~ns:(m.Ctx.now_ns -. t_start) ~bytes;
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-    (Obs.Event.Coll_end { kind = Global; cause; bytes })
 
 (* Paranoid validation after every global collection (set
    MANTICORE_PARANOID=1); used to localize heap corruption in tests. *)
@@ -350,16 +307,13 @@ let paranoid =
   | _ -> false
 
 (* End-of-cycle bookkeeping.  [ctx.stats] is the whole-system tally and
-   the per-mutator stats are a partition of the same copies, so each is
-   recorded once and never added together.  If live data alone nearly
-   fills the budget, the budget grows: a fixed threshold would retrigger
-   at once and thrash. *)
+   the per-mutator stats are a partition of the same copies (each
+   vproc's Global spans), so each is recorded once and never added
+   together.  If live data alone nearly fills the budget, the budget
+   grows: a fixed threshold would retrigger at once and thrash. *)
 let close ctx (ev : Ctx.evac) =
-  let stats = ctx.Ctx.stats in
-  stats.Gc_stats.global_count <- stats.Gc_stats.global_count + 1;
-  stats.Gc_stats.global_copied_bytes <-
-    stats.Gc_stats.global_copied_bytes
-    + Array.fold_left ( + ) 0 ev.Ctx.ev_copied_by;
+  Ctx.global_cycle_done ctx
+    ~copied:(Array.fold_left ( + ) 0 ev.Ctx.ev_copied_by);
   ctx.Ctx.global_gc_pending <- false;
   let in_use = Global_heap.in_use_bytes ctx.Ctx.global in
   if in_use * 3 / 2 > ctx.Ctx.global_budget_bytes then

@@ -8,7 +8,8 @@
     + the conservative {!keep} pass over local forwarding words;
     + {!release}: the pre-release audit, then from-space and the
       large-object sweep;
-    + per-vproc {!record_end} and the end-of-cycle {!close}.
+    + per-vproc [Global] spans ({!Ctx.span}) and the end-of-cycle
+      {!close}.
 
     Work is charged to the vproc that does it; {!barrier} rounds bring
     vprocs level and record their waits as [Barrier] pauses. *)
@@ -25,8 +26,7 @@ val in_from : Ctx.t -> int -> bool
 
 val dest : Ctx.t -> Ctx.evac -> Ctx.mutator -> Forward.dest
 (** The vproc's to-space destination: copied bytes are tallied in
-    [ev_copied_by] and the vproc's stats, marked larges queued for a
-    field scan. *)
+    [ev_copied_by], marked larges queued for a field scan. *)
 
 val forward_roots : Ctx.t -> Ctx.evac -> Ctx.mutator -> unit
 (** Forward the vproc's roots, proxy cells and local-heap referents. *)
@@ -76,16 +76,9 @@ val release : Ctx.t -> Ctx.evac -> lead:Ctx.mutator -> unit
     (the flight recorder's tail goes to stderr).  Then release
     from-space, clearing its flags, and sweep unmarked larges. *)
 
-val record_end :
-  ?count_cause:bool -> Ctx.t -> cause:Obs.Gc_cause.t -> Ctx.mutator ->
-  t_start:float -> bytes:int -> unit
-(** The vproc's [Global] pause from [t_start] to its clock, in the
-    trace, the metrics and the flight recorder.  [count_cause] (default
-    [true]) counts it toward [cause] in the metrics: a concurrent slice
-    is not a collection of its own. *)
-
 val close : Ctx.t -> Ctx.evac -> unit
-(** Count the collection and its copied bytes in [ctx.stats], clear the
+(** Count the collection and its copied bytes in [ctx.stats]
+    ({!Ctx.global_cycle_done}), clear the
     pending flag, grow the budget to twice the live bytes when they
     exceed two thirds of it, close the collection bracket, and under
     [MANTICORE_PARANOID=1] re-validate the heap. *)

@@ -11,15 +11,10 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
   (* Phase transitions are recorded on the leader's ring: the phases are
      global, and one ring's worth of markers is enough to segment every
      vproc's events by time. *)
-  let phase p =
-    Obs.Recorder.record ctx.Ctx.obs ~vproc:lead.Ctx.id ~t_ns:lead.Ctx.now_ns
-      (Obs.Event.Global_phase { phase = p })
-  in
+  let phase p = Ctx.emit ctx lead (Obs.Event.Global_phase { phase = p }) in
   let all _ = true in
   Array.iter
-    (fun (m : Ctx.mutator) ->
-      Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-        (Obs.Event.Coll_begin { kind = Global; cause }))
+    (fun m -> Ctx.emit ctx m (Obs.Event.Coll_begin { kind = Global; cause }))
     muts;
   phase Obs.Event.Entry;
   (* Entry: the leader sets the flag and signals; every vproc reaches its
@@ -58,7 +53,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
          m.Ctx.in_gc <- false));
   Array.iter
     (fun (m : Ctx.mutator) ->
-      Global_cycle.record_end ctx ~cause m ~t_start
+      Ctx.span ctx m Global ~cause ~t_start
         ~bytes:ev.Ctx.ev_copied_by.(m.Ctx.id))
     muts;
   Global_cycle.close ctx ev

@@ -39,8 +39,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
   let t_start = m.Ctx.now_ns in
   let was_in_gc = m.Ctx.in_gc in
   m.Ctx.in_gc <- true;
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:t_start
-    (Obs.Event.Coll_begin { kind = Major; cause });
+  Ctx.emit ctx m (Obs.Event.Coll_begin { kind = Major; cause });
   let store = ctx.Ctx.store in
   let lh = m.Ctx.lh in
   let from_lo = lh.Local_heap.base in
@@ -150,22 +149,6 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
         kept := (slot - delta) :: !kept);
   Remember.clear m.Ctx.remembered;
   List.iter (fun slot -> Remember.add m.Ctx.remembered ~slot) !kept;
-  m.Ctx.stats.Gc_stats.major_count <- m.Ctx.stats.Gc_stats.major_count + 1;
-  m.Ctx.stats.Gc_stats.major_copied_bytes <-
-    m.Ctx.stats.Gc_stats.major_copied_bytes + !copied;
-  Gc_trace.record ctx.Ctx.trace
-    {
-      Gc_trace.vproc = m.Ctx.id;
-      kind = Gc_trace.Major;
-      cause;
-      node = m.Ctx.node;
-      t_start_ns = t_start;
-      t_end_ns = m.Ctx.now_ns;
-      bytes = !copied;
-    };
-  Metrics.record_pause ~cause ~t_ns:m.Ctx.now_ns ctx.Ctx.metrics ~vproc:m.Ctx.id
-    ~kind:Gc_trace.Major ~ns:(m.Ctx.now_ns -. t_start) ~bytes:!copied;
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-    (Obs.Event.Coll_end { kind = Major; cause; bytes = !copied });
+  Ctx.span ctx m Major ~cause ~t_start ~bytes:!copied;
   m.Ctx.in_gc <- was_in_gc;
   Ctx.exit_collection ctx Gc_trace.Major

@@ -360,10 +360,6 @@ let windowed_create ?(epochs = 8) ~epoch_ns () =
     w_thresh = Float.nan;
   }
 
-let windowed_epochs w = Array.length w.w_ring
-let windowed_epoch_ns w = w.w_epoch_ns
-let windowed_current_epoch w = w.w_cur
-
 (* Rotate forward to epoch [e], clearing every slot that is being
    reused.  A jump larger than the ring clears everything once (the
    loop is clamped), so an idle stretch costs O(epochs), not O(gap). *)
@@ -416,17 +412,10 @@ let windowed_merge ?last w =
 (* Recording                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let n_kinds = 5
-
-let kind_index = function
-  | Gc_trace.Minor -> 0
-  | Gc_trace.Major -> 1
-  | Gc_trace.Promotion -> 2
-  | Gc_trace.Global -> 3
-  | Gc_trace.Barrier -> 4
+let n_kinds = Array.length Obs.Event.kinds
 
 type vrec = {
-  pause : hist array; (* indexed by kind_index *)
+  pause : hist array; (* indexed by Obs.Event.kind_code *)
   bytes : hist array;
   req : hist; (* per-request latency, same scale as pauses (ns) *)
   v_causes : int array; (* indexed by Obs.Gc_cause.code *)
@@ -521,7 +510,7 @@ let record_pause ?cause ?t_ns t ~vproc ~kind ~ns ~bytes =
   if vproc >= 0 then begin
     ensure t vproc;
     let r = t.vrecs.(vproc) in
-    let k = kind_index kind in
+    let k = Obs.Event.kind_code kind in
     hist_add r.pause.(k) ns;
     hist_add r.bytes.(k) (float_of_int bytes);
     (match t_ns with
@@ -637,7 +626,7 @@ let dist_of_hist h =
     p999 = hist_percentile h 0.999;
   }
 
-let windowed_dist ?last w = dist_of_hist (fst (windowed_merge ?last w))
+let windowed_dist w = dist_of_hist (fst (windowed_merge w))
 
 (* Windowed view over the last [window_epochs] epochs (or fewer while
    the ring is still filling): what "p99.9 right now" means. *)
@@ -735,13 +724,14 @@ let vproc_stats_of ~vproc r =
     if r.v_causes.(i) > 0 then
       causes := (Obs.Gc_cause.code_name i, r.v_causes.(i)) :: !causes
   done;
+  let ks k = kind_stats_of r (Obs.Event.kind_code k) in
   {
     vproc;
-    minor = kind_stats_of r 0;
-    major = kind_stats_of r 1;
-    promotion = kind_stats_of r 2;
-    global = kind_stats_of r 3;
-    barrier = kind_stats_of r 4;
+    minor = ks Minor;
+    major = ks Major;
+    promotion = ks Promotion;
+    global = ks Global;
+    barrier = ks Barrier;
     requests = dist_of_hist r.req;
     causes = !causes;
     chunk_acquires = r.v_chunk_acquires;
@@ -759,12 +749,13 @@ let aggregate t =
   Array.iter (fun r -> vrec_merge ~into:acc r) t.vrecs;
   vproc_stats_of ~vproc:(-1) acc
 
-let kind_stats vs = function
-  | Gc_trace.Minor -> vs.minor
-  | Gc_trace.Major -> vs.major
-  | Gc_trace.Promotion -> vs.promotion
-  | Gc_trace.Global -> vs.global
-  | Gc_trace.Barrier -> vs.barrier
+let kind_stats vs (k : Gc_trace.kind) =
+  match k with
+  | Minor -> vs.minor
+  | Major -> vs.major
+  | Promotion -> vs.promotion
+  | Global -> vs.global
+  | Barrier -> vs.barrier
 
 (* ------------------------------------------------------------------ *)
 (* JSON serialization                                                  *)
@@ -792,13 +783,12 @@ let json_of_kind ks =
 
 let json_of_vproc vs =
   Json.Obj
-    [
-      ("vproc", Json.Num (float_of_int vs.vproc));
-      ("minor", json_of_kind vs.minor);
-      ("major", json_of_kind vs.major);
-      ("promotion", json_of_kind vs.promotion);
-      ("global", json_of_kind vs.global);
-      ("barrier", json_of_kind vs.barrier);
+    (("vproc", Json.Num (float_of_int vs.vproc))
+     :: Array.to_list
+          (Array.map
+             (fun (k, name) -> (name, json_of_kind (kind_stats vs k)))
+             Obs.Event.kinds)
+    @ [
       ("requests", json_of_dist vs.requests);
       ( "causes",
         Json.Obj
@@ -809,7 +799,7 @@ let json_of_vproc vs =
       ("steal_successes", Json.Num (float_of_int vs.steal_successes));
       ("ratified", Json.Num (float_of_int vs.ratified));
       ("ratify_skipped", Json.Num (float_of_int vs.ratify_skipped));
-    ]
+    ])
 
 let snapshot_to_json s =
   Json.to_string
@@ -866,16 +856,20 @@ let zero_kind_stats =
   { pause_ns = zero; copied_bytes = zero }
 
 let vproc_of_json j =
+  let ks k =
+    let name = Obs.Event.kind_to_string k in
+    match Json.member name j with
+    | Some v -> kind_of_json v
+    | None when k = Barrier -> zero_kind_stats
+    | None -> raise (Shape ("missing field " ^ name))
+  in
   {
     vproc = int_field "vproc" j;
-    minor = kind_of_json (field "minor" j);
-    major = kind_of_json (field "major" j);
-    promotion = kind_of_json (field "promotion" j);
-    global = kind_of_json (field "global" j);
-    barrier =
-      (match Json.member "barrier" j with
-      | Some k -> kind_of_json k
-      | None -> zero_kind_stats);
+    minor = ks Minor;
+    major = ks Major;
+    promotion = ks Promotion;
+    global = ks Global;
+    barrier = ks Barrier;
     requests = dist_of_json (field "requests" j);
     causes = causes_of_json j;
     chunk_acquires = int_field "chunk_acquires" j;
@@ -909,8 +903,6 @@ let snapshot_of_json s =
 (* CSV + human-readable report                                         *)
 (* ------------------------------------------------------------------ *)
 
-let kind_names = [| "minor"; "major"; "promotion"; "global"; "barrier" |]
-
 let snapshot_to_csv s =
   let b = Buffer.create 1024 in
   Buffer.add_string b
@@ -926,18 +918,11 @@ let snapshot_to_csv s =
   let zero = dist_of_hist (hist_create ()) in
   List.iter
     (fun vs ->
-      Array.iteri
-        (fun i name ->
-          let ks =
-            match i with
-            | 0 -> vs.minor
-            | 1 -> vs.major
-            | 2 -> vs.promotion
-            | 3 -> vs.global
-            | _ -> vs.barrier
-          in
+      Array.iter
+        (fun (k, name) ->
+          let ks = kind_stats vs k in
           row vs name ks.pause_ns ks.copied_bytes)
-        kind_names;
+        Obs.Event.kinds;
       (* Request latency rides in the pause columns; it copies no bytes. *)
       row vs "request" vs.requests zero)
     s.vprocs;
@@ -949,16 +934,9 @@ let pp_summary ppf s =
     "vproc" "kind" "count" "p50" "p90" "p99" "p99.9" "max" "copied";
   List.iter
     (fun vs ->
-      Array.iteri
-        (fun i name ->
-          let ks =
-            match i with
-            | 0 -> vs.minor
-            | 1 -> vs.major
-            | 2 -> vs.promotion
-            | 3 -> vs.global
-            | _ -> vs.barrier
-          in
+      Array.iter
+        (fun (k, name) ->
+          let ks = kind_stats vs k in
           let p = ks.pause_ns in
           if p.count > 0 then
             Format.fprintf ppf
@@ -968,7 +946,7 @@ let pp_summary ppf s =
               (Units.ns_to_string p.p99) (Units.ns_to_string p.p999)
               (Units.ns_to_string p.max)
               (Units.bytes_to_string (int_of_float ks.copied_bytes.sum)))
-        kind_names;
+        Obs.Event.kinds;
       (let p = vs.requests in
        if p.count > 0 then
          Format.fprintf ppf "  %-6s %-10s %7d  %10s %10s %10s %10s %10s  %10s@,"
@@ -1061,21 +1039,14 @@ let to_openmetrics ?now_ns t =
     "Cumulative collector pause duration by vproc and kind (ns).";
   List.iter
     (fun vs ->
-      Array.iteri
-        (fun k name ->
-          let ks =
-            match k with
-            | 0 -> vs.minor
-            | 1 -> vs.major
-            | 2 -> vs.promotion
-            | 3 -> vs.global
-            | _ -> vs.barrier
-          in
+      Array.iter
+        (fun (k, name) ->
+          let ks = kind_stats vs k in
           if ks.pause_ns.count > 0 then
             om_summary buf "gcsim_pause_ns"
               (vlabel vs @ [ ("kind", name) ])
               ks.pause_ns)
-        kind_names)
+        Obs.Event.kinds)
     s.vprocs;
   om_family buf "gcsim_request_ns" "summary"
     "Cumulative request latency by vproc (ns).";
@@ -1104,21 +1075,14 @@ let to_openmetrics ?now_ns t =
     "Bytes copied or promoted by collections, by vproc and kind.";
   List.iter
     (fun vs ->
-      Array.iteri
-        (fun k name ->
-          let ks =
-            match k with
-            | 0 -> vs.minor
-            | 1 -> vs.major
-            | 2 -> vs.promotion
-            | 3 -> vs.global
-            | _ -> vs.barrier
-          in
+      Array.iter
+        (fun (k, name) ->
+          let ks = kind_stats vs k in
           if ks.copied_bytes.count > 0 then
             om_sample buf "gcsim_copied_bytes_total"
               (vlabel vs @ [ ("kind", name) ])
               ks.copied_bytes.sum)
-        kind_names)
+        Obs.Event.kinds)
     s.vprocs;
   om_family buf "gcsim_steals" "counter"
     "Steal attempts by thief vproc and outcome.";

@@ -1,13 +1,15 @@
 (** Per-vproc collector telemetry: pause-time and copied-byte
-    distributions for each collection kind, plus chunk-acquire and
-    work-stealing counters.
+    distributions for each collection kind, plus chunk-acquire,
+    work-stealing and ratify counters and request latency.
 
-    {!Gc_stats} keeps flat totals and {!Gc_trace} keeps an (optional)
-    event log; this module keeps the *distributions* the paper's
-    evaluation is built on — per-vproc minor/major/promotion/global
-    pause percentiles and copied-byte rates — cheaply enough to stay on
-    for every run (a recording is a handful of float operations into
-    log-scaled histogram buckets).
+    One of the four stores {!Ctx}'s recording calls feed, alongside
+    {!Gc_stats}' flat totals, {!Gc_trace}'s optional timeline and the
+    flight recorder's ring; the collectors and the scheduler never
+    write here directly.  This store keeps the *distributions* the
+    paper's evaluation is built on — per-vproc minor/major/promotion/
+    global pause percentiles and copied-byte rates — cheaply enough to
+    stay on for every run (a recording is a handful of float operations
+    into log-scaled histogram buckets).
 
     A finished run is summarized into a {!snapshot}, a plain value that
     serializes to JSON (round-trippable via {!snapshot_of_json}) and
@@ -40,39 +42,17 @@ module Json : sig
   (** [member k (Obj _)] looks up key [k]; [None] otherwise. *)
 end
 
-(** {2 Windowed histograms}
-
-    A sliding window over scheduler virtual time: a ring of per-epoch
-    sub-histograms.  Each sample lands in the sub-histogram of its epoch
-    ([floor (t_ns / epoch_ns)]); advancing time reuses the oldest slot,
-    so the ring always holds the most recent [epochs] epochs and a query
-    merges the populated slots.  This is what makes "p99.9 over the last
-    few milliseconds" (rather than since process start) answerable. *)
-
-type windowed
-
-val windowed_create : ?epochs:int -> epoch_ns:float -> unit -> windowed
-(** [epochs] (default 8) sub-histograms of [epoch_ns] virtual time each.
-    Raises [Invalid_argument] when either is non-positive. *)
-
-val windowed_add : windowed -> t_ns:float -> float -> unit
-(** Record a sample stamped [t_ns].  Rotates the ring forward if [t_ns]
-    opens a new epoch; samples older than the ring still retains are
-    dropped rather than polluting a newer epoch. *)
-
-val windowed_epochs : windowed -> int
-val windowed_epoch_ns : windowed -> float
-
-val windowed_current_epoch : windowed -> int
-(** Newest epoch id seen ([-1] before the first sample). *)
-
 (** {2 Recording} *)
 
 type t
 
 val create : ?window_epoch_ns:float -> ?window_epochs:int -> n_vprocs:int -> unit -> t
 (** [window_epoch_ns] (default 1 ms) and [window_epochs] (default 8)
-    size the sliding windows behind {!window_stats} and {!slo_status}. *)
+    size the sliding windows behind {!window_stats} and {!slo_status}:
+    rings of per-epoch sub-histograms over virtual time, where a sample
+    lands in the epoch [floor (t_ns / epoch_ns)], advancing time reuses
+    the oldest slot, and a sample older than the ring is dropped.
+    Raises [Invalid_argument] when either is non-positive. *)
 
 val record_pause :
   ?cause:Obs.Gc_cause.t ->
@@ -165,11 +145,6 @@ val aggregate : t -> vproc_stats
     whole-machine percentiles, not an average of per-vproc ones. *)
 
 val kind_stats : vproc_stats -> Gc_trace.kind -> kind_stats
-
-val windowed_dist : ?last:int -> windowed -> dist
-(** Merge of the newest [last] populated epochs (default: the whole
-    ring), summarized like any other distribution.  All-zero when the
-    window is empty. *)
 
 (** {2 Windowed views and SLO} *)
 

@@ -5,8 +5,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
   let was_in_gc = m.Ctx.in_gc in
   m.Ctx.in_gc <- true;
   Ctx.enter_collection ctx;
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:t_start
-    (Obs.Event.Coll_begin { kind = Minor; cause });
+  Ctx.emit ctx m (Obs.Event.Coll_begin { kind = Minor; cause });
   let lh = m.Ctx.lh in
   let from_lo = lh.Local_heap.nursery_base
   and from_hi = lh.Local_heap.alloc_ptr in
@@ -57,22 +56,6 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
   Local_heap.resplit lh;
   (* The remembered targets are old data now. *)
   Remember.clear m.Ctx.remembered;
-  m.Ctx.stats.Gc_stats.minor_count <- m.Ctx.stats.Gc_stats.minor_count + 1;
-  m.Ctx.stats.Gc_stats.minor_copied_bytes <-
-    m.Ctx.stats.Gc_stats.minor_copied_bytes + !copied;
-  Gc_trace.record ctx.Ctx.trace
-    {
-      Gc_trace.vproc = m.Ctx.id;
-      kind = Gc_trace.Minor;
-      cause;
-      node = m.Ctx.node;
-      t_start_ns = t_start;
-      t_end_ns = m.Ctx.now_ns;
-      bytes = !copied;
-    };
-  Metrics.record_pause ~cause ~t_ns:m.Ctx.now_ns ctx.Ctx.metrics ~vproc:m.Ctx.id
-    ~kind:Gc_trace.Minor ~ns:(m.Ctx.now_ns -. t_start) ~bytes:!copied;
-  Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-    (Obs.Event.Coll_end { kind = Minor; cause; bytes = !copied });
+  Ctx.span ctx m Minor ~cause ~t_start ~bytes:!copied;
   m.Ctx.in_gc <- was_in_gc;
   Ctx.exit_collection ctx Gc_trace.Minor

@@ -17,8 +17,7 @@ let value ?(reason = Obs.Gc_cause.Explicit) ctx (m : Ctx.mutator) v =
     let was_in_gc = m.Ctx.in_gc in
     m.Ctx.in_gc <- true;
     Ctx.enter_collection ctx;
-    Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:t_start
-      (Obs.Event.Coll_begin { kind = Promotion; cause });
+    Ctx.emit ctx m (Obs.Event.Coll_begin { kind = Promotion; cause });
     charge_spinup ctx m;
     let lh = m.Ctx.lh in
     let in_from a = Local_heap.in_heap lh a in
@@ -33,24 +32,7 @@ let value ?(reason = Obs.Gc_cause.Explicit) ctx (m : Ctx.mutator) v =
     while not (Queue.is_empty pending) do
       Forward.scan_fields ctx m ~dest ~in_from (Queue.pop pending)
     done;
-    m.Ctx.stats.Gc_stats.promote_count <-
-      m.Ctx.stats.Gc_stats.promote_count + 1;
-    m.Ctx.stats.Gc_stats.promoted_bytes <-
-      m.Ctx.stats.Gc_stats.promoted_bytes + !promoted;
-    Gc_trace.record ctx.Ctx.trace
-      {
-        Gc_trace.vproc = m.Ctx.id;
-        kind = Gc_trace.Promotion;
-        cause;
-        node = m.Ctx.node;
-        t_start_ns = t_start;
-        t_end_ns = m.Ctx.now_ns;
-        bytes = !promoted;
-      };
-    Metrics.record_pause ~cause ~t_ns:m.Ctx.now_ns ctx.Ctx.metrics ~vproc:m.Ctx.id
-      ~kind:Gc_trace.Promotion ~ns:(m.Ctx.now_ns -. t_start) ~bytes:!promoted;
-    Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-      (Obs.Event.Coll_end { kind = Promotion; cause; bytes = !promoted });
+    Ctx.span ctx m Promotion ~cause ~t_start ~bytes:!promoted;
     m.Ctx.in_gc <- was_in_gc;
     Ctx.exit_collection ctx Gc_trace.Promotion;
     (* Mid-cycle, the local forward word followed by [evacuate] can point
@@ -124,7 +106,7 @@ let batch_add b v =
       (* The whole batch is one recorded collection: its Coll_begin is
          the first copying add, its Coll_end the publish in
          [batch_end]. *)
-      Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:t_start
+      Ctx.emit ctx m
         (Obs.Event.Coll_begin { kind = Promotion; cause = b.b_cause });
       charge_spinup ctx m
     end;
@@ -147,32 +129,12 @@ let batch_end b =
   if b.b_open then begin
     b.b_open <- false;
     let ctx = b.b_ctx and m = b.b_m in
-    if b.b_values > 0 then begin
-      let bytes = !(b.b_bytes) in
-      m.Ctx.stats.Gc_stats.promote_count <-
-        m.Ctx.stats.Gc_stats.promote_count + 1;
-      m.Ctx.stats.Gc_stats.promote_batched_values <-
-        m.Ctx.stats.Gc_stats.promote_batched_values + b.b_values;
-      m.Ctx.stats.Gc_stats.promoted_bytes <-
-        m.Ctx.stats.Gc_stats.promoted_bytes + bytes;
-      Gc_trace.record ctx.Ctx.trace
-        {
-          Gc_trace.vproc = m.Ctx.id;
-          kind = Gc_trace.Promotion;
-          cause = b.b_cause;
-          node = m.Ctx.node;
-          (* One pause spanning the accrued copy time; the quiet gaps
-             between adds (mutator work) are not promotion pause. *)
-          t_start_ns = m.Ctx.now_ns -. b.b_pause_ns;
-          t_end_ns = m.Ctx.now_ns;
-          bytes;
-        };
-      Metrics.record_pause ~cause:b.b_cause ~t_ns:m.Ctx.now_ns ctx.Ctx.metrics
-        ~vproc:m.Ctx.id
-        ~kind:Gc_trace.Promotion ~ns:b.b_pause_ns ~bytes;
-      Obs.Recorder.record ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-        (Obs.Event.Coll_end { kind = Promotion; cause = b.b_cause; bytes })
-    end
+    if b.b_values > 0 then
+      (* One pause spanning the accrued copy time; the quiet gaps
+         between adds (mutator work) are not promotion pause. *)
+      Ctx.span ctx m Promotion ~batched:b.b_values ~cause:b.b_cause
+        ~t_start:(m.Ctx.now_ns -. b.b_pause_ns)
+        ~bytes:!(b.b_bytes)
   end
 
 let batch_values b = b.b_values

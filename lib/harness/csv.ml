@@ -18,7 +18,8 @@ let of_sweep (results : Figures.sweep_result list) =
                r.Figures.scale n o.Run_config.elapsed_ns
                (base /. o.Run_config.elapsed_ns)
                o.Run_config.gc.Gc_stats.minor_count
-               o.Run_config.gc.Gc_stats.major_count o.Run_config.globals
+               o.Run_config.gc.Gc_stats.major_count
+               o.Run_config.gc.Gc_stats.global_count
                o.Run_config.gc.Gc_stats.promoted_bytes))
         r.Figures.points)
     results;

@@ -214,7 +214,7 @@ let gc_report ?(fast = false) () =
           string_of_int g.Manticore_gc.Gc_stats.minor_count;
           string_of_int g.Manticore_gc.Gc_stats.major_count;
           string_of_int g.Manticore_gc.Gc_stats.promote_count;
-          string_of_int o.Run_config.globals;
+          string_of_int g.Manticore_gc.Gc_stats.global_count;
           mb g.Manticore_gc.Gc_stats.minor_copied_bytes;
           mb g.Manticore_gc.Gc_stats.major_copied_bytes;
           mb g.Manticore_gc.Gc_stats.promoted_bytes;
@@ -294,12 +294,8 @@ let pause_report ?(fast = false) ?progress () =
                   Manticore_gc.Units.bytes_to_string
                     (int_of_float ks.M.copied_bytes.M.sum);
                 ])
-          [
-            (Manticore_gc.Gc_trace.Minor, "minor");
-            (Manticore_gc.Gc_trace.Major, "major");
-            (Manticore_gc.Gc_trace.Promotion, "promotion");
-            (Manticore_gc.Gc_trace.Global, "global");
-          ])
+          (List.filter (fun (k, _) -> k <> Obs.Event.Barrier)
+             (Array.to_list Obs.Event.kinds)))
       runs
   in
   let merged = M.create ~n_vprocs:0 () in
@@ -435,7 +431,7 @@ let baseline ?(fast = false) () =
                   string_of_int n;
                   Printf.sprintf "%.3f" (t /. 1e6);
                   Printf.sprintf "%.2f" (!base_t /. t);
-                  string_of_int o.Run_config.globals;
+                  string_of_int g.Manticore_gc.Gc_stats.global_count;
                   Printf.sprintf "%.1f"
                     (100. *. g.Manticore_gc.Gc_stats.gc_ns
                     /. (t *. float_of_int n));

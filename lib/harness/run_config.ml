@@ -54,7 +54,6 @@ type outcome = {
   elapsed_ns : float;
   gc : Gc_stats.t;
   sched : Runtime.Sched.stats;
-  globals : int;
   metrics : Metrics.t;
   obs : Obs.Recorder.t;
   timeline : string option;
@@ -84,16 +83,11 @@ let execute_with t run =
     t.telemetry;
   let checksum = run ctx rt in
   Metrics.stream_close ctx.Ctx.metrics ~now_ns:(Runtime.Sched.elapsed_ns rt);
-  let gc =
-    Gc_stats.total
-      (Array.init t.n_vprocs (fun i -> (Ctx.mutator ctx i).Ctx.stats))
-  in
   {
     checksum;
     elapsed_ns = Runtime.Sched.elapsed_ns rt;
-    gc;
+    gc = Ctx.gc_totals ctx;
     sched = Runtime.Sched.stats rt;
-    globals = ctx.Ctx.stats.Gc_stats.global_count;
     metrics = ctx.Ctx.metrics;
     obs = ctx.Ctx.obs;
     timeline =

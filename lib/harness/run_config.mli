@@ -42,9 +42,8 @@ val default : machine:Numa.Topology.t -> n_vprocs:int -> t
 type outcome = {
   checksum : float;
   elapsed_ns : float;  (** virtual makespan *)
-  gc : Gc_stats.t;  (** aggregated over vprocs, plus global-GC counts *)
+  gc : Gc_stats.t;  (** the run's totals ({!Manticore_gc.Ctx.gc_totals}) *)
   sched : Runtime.Sched.stats;
-  globals : int;
   metrics : Metrics.t;
       (** the run's per-vproc pause/byte distributions and steal/chunk
           counters; snapshot with {!Manticore_gc.Metrics.snapshot} or

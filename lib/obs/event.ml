@@ -24,85 +24,39 @@ type t =
   | Conc_round of { cycle : int; exit : bool; straggler : int; wait_ns : int }
   | Conc_cycle of { cycle : int; dur_ns : int; slices : int }
 
-let kind_code = function
-  | Minor -> 0
-  | Major -> 1
-  | Promotion -> 2
-  | Global -> 3
-  | Barrier -> 4
+(* One table per enumeration: a constructor's position is its packed
+   code, and its string is the name dumps and reports use. *)
+let kinds =
+  [| (Minor, "minor"); (Major, "major"); (Promotion, "promotion");
+     (Global, "global"); (Barrier, "barrier") |]
 
-let kind_of_code = function
-  | 0 -> Some Minor
-  | 1 -> Some Major
-  | 2 -> Some Promotion
-  | 3 -> Some Global
-  | 4 -> Some Barrier
-  | _ -> None
+let phases =
+  [| (Entry, "entry"); (Roots, "roots"); (Cheney, "cheney");
+     (Retarget, "retarget"); (Sweep, "sweep"); (Exit, "exit");
+     (Mark, "mark"); (Claim, "claim"); (Evacuate, "evacuate");
+     (Handshake, "handshake") |]
 
-let kind_to_string = function
-  | Minor -> "minor"
-  | Major -> "major"
-  | Promotion -> "promotion"
-  | Global -> "global"
-  | Barrier -> "barrier"
+let of_code tbl i =
+  if i >= 0 && i < Array.length tbl then Some (fst tbl.(i)) else None
 
-let kind_of_string = function
-  | "minor" -> Some Minor
-  | "major" -> Some Major
-  | "promotion" -> Some Promotion
-  | "global" -> Some Global
-  | "barrier" -> Some Barrier
-  | _ -> None
+let of_name tbl s =
+  Array.find_map (fun (x, n) -> if n = s then Some x else None) tbl
 
-let phase_code = function
-  | Entry -> 0
-  | Roots -> 1
-  | Cheney -> 2
-  | Retarget -> 3
-  | Sweep -> 4
-  | Exit -> 5
-  | Mark -> 6
-  | Claim -> 7
-  | Evacuate -> 8
-  | Handshake -> 9
+(* Typed loops, so [=] compiles to an integer compare. *)
+let kind_code (k : coll_kind) =
+  let rec go i = if fst kinds.(i) = k then i else go (i + 1) in
+  go 0
 
-let phase_of_code = function
-  | 0 -> Some Entry
-  | 1 -> Some Roots
-  | 2 -> Some Cheney
-  | 3 -> Some Retarget
-  | 4 -> Some Sweep
-  | 5 -> Some Exit
-  | 6 -> Some Mark
-  | 7 -> Some Claim
-  | 8 -> Some Evacuate
-  | 9 -> Some Handshake
-  | _ -> None
+let phase_code (p : global_phase) =
+  let rec go i = if fst phases.(i) = p then i else go (i + 1) in
+  go 0
 
-let phase_to_string = function
-  | Entry -> "entry"
-  | Roots -> "roots"
-  | Cheney -> "cheney"
-  | Retarget -> "retarget"
-  | Sweep -> "sweep"
-  | Exit -> "exit"
-  | Mark -> "mark"
-  | Claim -> "claim"
-  | Evacuate -> "evacuate"
-  | Handshake -> "handshake"
-
-let phase_of_string = function
-  | "entry" -> Some Entry
-  | "roots" -> Some Roots
-  | "cheney" -> Some Cheney
-  | "retarget" -> Some Retarget
-  | "sweep" -> Some Sweep
-  | "exit" -> Some Exit
-  | "mark" -> Some Mark
-  | "claim" -> Some Claim
-  | "evacuate" -> Some Evacuate
-  | "handshake" -> Some Handshake
-  | _ -> None
+let kind_of_code = of_code kinds
+let kind_to_string k = snd kinds.(kind_code k)
+let kind_of_string = of_name kinds
+let phase_of_code = of_code phases
+let phase_to_string p = snd phases.(phase_code p)
+let phase_of_string = of_name phases
 
 (* Packed form: a small tag plus up to three int operands — the "couple
    of int stores" budget that keeps recording cheap enough to stay on. *)

@@ -68,6 +68,12 @@ type t =
           the evacuation/mark/keep slices it ran.  Bounds the window
           [gcprof --cycles] attributes phase time within. *)
 
+val kinds : (coll_kind * string) array
+(** Every collection kind with its name, indexed by {!kind_code}. *)
+
+val phases : (global_phase * string) array
+(** Every global phase with its name, indexed by its packed code. *)
+
 val kind_code : coll_kind -> int
 val kind_of_code : int -> coll_kind option
 val kind_to_string : coll_kind -> string

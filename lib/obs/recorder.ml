@@ -84,11 +84,6 @@ let events t ~vproc =
       | None -> ());
   List.rev !out
 
-let reset t =
-  Array.iter Ring.reset t.rings;
-  Array.fill t.matrix 0 (Array.length t.matrix) 0;
-  t.sample_countdown <- t.sample_every
-
 (* Merge [src] into [into]: used by the harness when combining outcomes
    of several instrumented runs.  Rings are merged by replaying events
    into the matching vproc's ring (so overwrite semantics still hold);

@@ -47,8 +47,6 @@ val events : t -> vproc:int -> (int * float * Event.t) list
 val dropped : t -> vproc:int -> int
 val total_events : t -> vproc:int -> int
 
-val reset : t -> unit
-
 val merge : into:t -> t -> unit
 (** Replay [src]'s surviving events into [into]'s rings and add the
     traffic matrices elementwise (when node counts agree). *)

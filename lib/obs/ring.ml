@@ -46,7 +46,7 @@ let dropped t = t.lost + max 0 (t.total - t.capacity)
 let note_lost t n = if n > 0 then t.lost <- t.lost + n
 
 (* Visit surviving events oldest-first.  [f seq t_ns tag a b c] where
-   [seq] is the event's global sequence number (0-based since reset). *)
+   [seq] is the event's global sequence number (0-based since creation). *)
 let iter_oldest_first t f =
   let n = stored t in
   let first_seq = t.total - n in
@@ -55,7 +55,3 @@ let iter_oldest_first t f =
     let i = seq mod t.capacity in
     f seq t.t_ns.(i) t.tag.(i) t.a.(i) t.b.(i) t.c.(i)
   done
-
-let reset t =
-  t.total <- 0;
-  t.lost <- 0

@@ -26,12 +26,10 @@ val dropped : t -> int
 val note_lost : t -> int -> unit
 (** Account for [n] events known to have been lost before this ring
     existed (a restored dump's "dropped" lines); negative [n] is
-    ignored.  Cleared by {!reset}. *)
+    ignored. *)
 
 val iter_oldest_first :
   t -> (int -> float -> int -> int -> int -> int -> unit) -> unit
 (** [iter_oldest_first t f] calls [f seq t_ns tag a b c] for each
     surviving event, oldest first.  [seq] is the event's global
-    sequence number (0-based since creation/reset). *)
-
-val reset : t -> unit
+    sequence number (0-based since creation). *)

@@ -677,14 +677,9 @@ let resolve_queued t (m : Ctx.mutator) (item : work_item) =
     | _ -> failwith "Sched.resolve_queued: work item executed twice");
     if item.env_owner <> m.Ctx.id then begin
       t.st.steals <- t.st.steals + 1;
-      Metrics.record_steal t.c.Ctx.metrics ~vproc:m.Ctx.id ~success:true;
       (* The inline claim probed the victim's deque: one executed
-         attempt, immediately successful — keeps the ring's attempt
-         count equal to the metrics counter. *)
-      Obs.Recorder.record t.c.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-        (Obs.Event.Steal_attempt { victim = item.env_owner });
-      Obs.Recorder.record t.c.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns
-        (Obs.Event.Steal_success { victim = item.env_owner })
+         attempt, immediately successful. *)
+      Ctx.steal_probe t.c m ~victim:item.env_owner ~success:true
     end
     else t.st.inline_runs <- t.st.inline_runs + 1;
     item.fut.fstate <- Running;
@@ -999,26 +994,16 @@ let run_move t = function
       (* A real thief pays for the remote peek of every deque it probes,
          empty or not; each executed probe is one attempt. *)
       List.iter
-        (fun vid ->
-          Metrics.record_steal t.c.Ctx.metrics ~vproc:thief.v_id
-            ~success:false;
-          Obs.Recorder.record t.c.Ctx.obs ~vproc:thief.v_id
-            ~t_ns:thief.mut.Ctx.now_ns
-            (Obs.Event.Steal_attempt { victim = vid }))
+        (fun victim -> Ctx.steal_probe t.c thief.mut ~victim ~success:false)
         empty_probes;
-      Obs.Recorder.record t.c.Ctx.obs ~vproc:thief.v_id
-        ~t_ns:thief.mut.Ctx.now_ns
-        (Obs.Event.Steal_attempt { victim = victim.v_id });
-      match Deque.steal victim.deque with
-      | None ->
-          Metrics.record_steal t.c.Ctx.metrics ~vproc:thief.v_id ~success:false
+      let stolen = Deque.steal victim.deque in
+      Ctx.steal_probe t.c thief.mut ~victim:victim.v_id
+        ~success:(Option.is_some stolen);
+      match stolen with
+      | None -> ()
       | Some item ->
           item.on_queue <- None;
           t.st.steals <- t.st.steals + 1;
-          Metrics.record_steal t.c.Ctx.metrics ~vproc:thief.v_id ~success:true;
-          Obs.Recorder.record t.c.Ctx.obs ~vproc:thief.v_id
-            ~t_ns:thief.mut.Ctx.now_ns
-            (Obs.Event.Steal_success { victim = victim.v_id });
           thief.mut.Ctx.now_ns <-
             Float.max thief.mut.Ctx.now_ns item.pushed_ns;
           t.turn_start_ns <- thief.mut.Ctx.now_ns;

@@ -116,12 +116,7 @@ let run_load rt (m : Ctx.mutator) load =
             let v =
               List.fold_left ( + ) 0 (Pml.Pval.ints_of_list c m resp)
             in
-            let lat = m.Ctx.now_ns -. a in
-            Metrics.record_request ~t_ns:m.Ctx.now_ns c.Ctx.metrics
-              ~vproc:m.Ctx.id ~ns:lat;
-            Obs.Recorder.record c.Ctx.obs ~vproc:m.Ctx.id
-              ~t_ns:m.Ctx.now_ns
-              (Obs.Event.Req_done { latency_ns = int_of_float lat });
+            Ctx.request_done c m ~latency_ns:(m.Ctx.now_ns -. a);
             Value.of_int v))
   in
   let resp_sum =

@@ -3,9 +3,9 @@
     from a deterministic Poisson generator.  Request handling is
     CML-style — the request fiber [send]s/[recv]s, the session [sync]s
     over request and control channels — and every completion is recorded
-    as a request-latency sample ({!Manticore_gc.Metrics.record_request})
-    plus a flight-recorder [Req_done] event, so SLO percentiles sit next
-    to GC pause percentiles in every report. *)
+    ({!Manticore_gc.Ctx.request_done}) as a request-latency sample plus a
+    flight-recorder [Req_done] event, so SLO percentiles sit next to GC
+    pause percentiles in every report. *)
 
 open Heap
 open Manticore_gc

@@ -60,6 +60,13 @@ let sample_events =
     Event.Alloc_sample { bytes = 128 };
     Event.Req_done { latency_ns = 1_234_567 };
   ]
+  (* Every collection kind and global phase, through both codecs. *)
+  @ List.map
+      (fun (kind, _) -> Event.Coll_end { kind; cause = Cause.Forced; bytes = 8 })
+      (Array.to_list Event.kinds)
+  @ List.map
+      (fun (phase, _) -> Event.Global_phase { phase })
+      (Array.to_list Event.phases)
 
 let test_event_codec () =
   List.iter
@@ -131,65 +138,159 @@ let run_workload () =
   in
   Harness.Run_config.execute spec cfg
 
-let coll_end_counts r =
-  (* (minor, major, promotion, global, barrier) Coll_end events over all
-     rings. *)
-  let counts = Array.make 5 0 in
-  for v = 0 to Obs.Recorder.n_vprocs r - 1 do
-    Alcotest.(check int)
-      (Printf.sprintf "vproc %d ring did not overwrite" v)
-      0
-      (Obs.Recorder.dropped r ~vproc:v);
-    List.iter
-      (fun (_, _, ev) ->
-        match ev with
-        | Event.Coll_end { kind; _ } ->
-            let k =
-              match kind with
-              | Event.Minor -> 0
-              | Event.Major -> 1
-              | Event.Promotion -> 2
-              | Event.Global -> 3
-              | Event.Barrier -> 4
-            in
-            counts.(k) <- counts.(k) + 1
-        | _ -> ())
-      (Obs.Recorder.events r ~vproc:v)
-  done;
+(* Every event over all rings, after checking that no ring wrapped: a
+   count taken from a wrapped ring would undercount. *)
+let all_events r =
+  List.concat
+    (List.init (Obs.Recorder.n_vprocs r) (fun v ->
+         Alcotest.(check int)
+           (Printf.sprintf "vproc %d ring did not overwrite" v)
+           0
+           (Obs.Recorder.dropped r ~vproc:v);
+         List.map (fun (_, _, ev) -> ev) (Obs.Recorder.events r ~vproc:v)))
+
+(* Occurrences per collection kind, indexed by its code. *)
+let count_by_kind kinds_of =
+  let counts = Array.make (Array.length Event.kinds) 0 in
+  List.iter
+    (fun k ->
+      let i = Event.kind_code k in
+      counts.(i) <- counts.(i) + 1)
+    kinds_of;
   counts
+
+let pauses vs k = (Metrics.kind_stats vs k).Metrics.pause_ns.Metrics.count
+
+(* The ring's Coll_end events equal the metrics' pauses, kind by kind. *)
+let check_coll_ends r metrics =
+  let counts =
+    count_by_kind
+      (List.filter_map
+         (function Event.Coll_end { kind; _ } -> Some kind | _ -> None)
+         (all_events r))
+  in
+  let agg = Metrics.aggregate metrics in
+  Alcotest.(check bool) "run collected" true (counts.(0) > 0);
+  Array.iter
+    (fun (k, name) ->
+      Alcotest.(check int)
+        (name ^ " events = " ^ name ^ " pauses")
+        (pauses agg k)
+        counts.(Event.kind_code k))
+    Event.kinds
+
+(* A server run whose small global budget forces global collections,
+   with the timeline on and few enough events that no ring wraps. *)
+let run_server mode =
+  let params =
+    {
+      Params.default with
+      Params.capacity_bytes = 32 * 1024 * 1024;
+      local_heap_bytes = 16 * 1024;
+      chunk_bytes = 4 * 1024;
+      nursery_min_bytes = 2 * 1024;
+      global_budget_per_vproc = 8 * 1024;
+      global_gc_mode = mode;
+    }
+  in
+  let c =
+    Ctx.create ~params ~machine:Numa.Machines.amd48 ~n_vprocs:4
+      ~policy:Sim_mem.Page_policy.Local ()
+  in
+  Gc_trace.enable c.Ctx.trace;
+  let rt = Sched.create ~seed:7 c in
+  let load =
+    { (Workloads.Server.default_load ~scale:2.) with Workloads.Server.seed = 42 }
+  in
+  ignore
+    (Sched.run rt ~main:(fun m ->
+         ignore (Workloads.Server.run_load rt m load);
+         Value.unit));
+  c
+
+(* Per vproc and kind, the four stores hold the same facts: the
+   Gc_stats counters and the metrics, the timeline and the metrics, and
+   the ring's events and the metrics' counts and counters. *)
+let check_stores_agree (c : Ctx.t) =
+  check_coll_ends c.Ctx.obs c.Ctx.metrics;
+  List.iter
+    (fun (vs : Metrics.vproc_stats) ->
+      let s = (Ctx.mutator c vs.Metrics.vproc).Ctx.stats in
+      let bytes k =
+        int_of_float (Metrics.kind_stats vs k).Metrics.copied_bytes.Metrics.sum
+      in
+      let check what k stat =
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "v%d %s: Gc_stats count and bytes = metrics"
+             vs.Metrics.vproc what)
+          stat
+          (pauses vs k, bytes k)
+      in
+      check "minor" Event.Minor
+        (s.Gc_stats.minor_count, s.Gc_stats.minor_copied_bytes);
+      check "major" Event.Major
+        (s.Gc_stats.major_count, s.Gc_stats.major_copied_bytes);
+      check "promotion" Event.Promotion
+        (s.Gc_stats.promote_count, s.Gc_stats.promoted_bytes);
+      Alcotest.(check int)
+        (Printf.sprintf "v%d global bytes = metrics" vs.Metrics.vproc)
+        s.Gc_stats.global_copied_bytes (bytes Event.Global))
+    (Metrics.snapshot c.Ctx.metrics).Metrics.vprocs;
+  Alcotest.(check int) "vprocs' global bytes = context's"
+    c.Ctx.stats.Gc_stats.global_copied_bytes
+    (Ctx.gc_totals c).Gc_stats.global_copied_bytes;
+  let agg = Metrics.aggregate c.Ctx.metrics in
+  let timeline =
+    count_by_kind
+      (List.map (fun e -> e.Gc_trace.kind) (Gc_trace.events c.Ctx.trace))
+  in
+  Array.iter
+    (fun (k, name) ->
+      Alcotest.(check int)
+        (name ^ " timeline events = pauses")
+        (pauses agg k)
+        timeline.(Event.kind_code k))
+    Event.kinds;
+  let evs = all_events c.Ctx.obs in
+  let ring p = List.length (List.filter p evs) in
+  Alcotest.(check int) "ring chunk acquires = metrics" agg.Metrics.chunk_acquires
+    (ring (function Event.Chunk_acquire _ -> true | _ -> false));
+  Alcotest.(check int) "ring steal attempts = metrics"
+    agg.Metrics.steal_attempts
+    (ring (function Event.Steal_attempt _ -> true | _ -> false));
+  Alcotest.(check int) "ring steal successes = metrics"
+    agg.Metrics.steal_successes
+    (ring (function Event.Steal_success _ -> true | _ -> false));
+  Alcotest.(check int) "ring requests = metrics"
+    agg.Metrics.requests.Metrics.count
+    (ring (function Event.Req_done _ -> true | _ -> false))
 
 let test_every_collection_attributed () =
   let o = run_workload () in
-  let r = o.Harness.Run_config.obs in
-  let counts = coll_end_counts r in
-  let agg = Metrics.aggregate o.Harness.Run_config.metrics in
-  let m kind = (Metrics.kind_stats agg kind).Metrics.pause_ns.Metrics.count in
-  Alcotest.(check bool) "run collected" true (counts.(0) > 0);
-  Alcotest.(check int) "minor events = minor pauses" (m Gc_trace.Minor)
-    counts.(0);
-  Alcotest.(check int) "major events = major pauses" (m Gc_trace.Major)
-    counts.(1);
-  Alcotest.(check int) "promotion events = promotion pauses"
-    (m Gc_trace.Promotion) counts.(2);
-  Alcotest.(check int) "global events = global pauses" (m Gc_trace.Global)
-    counts.(3);
-  (* The cause counters must cover every pause: 100% attribution. *)
-  let snap = Metrics.snapshot o.Harness.Run_config.metrics in
+  check_coll_ends o.Harness.Run_config.obs o.Harness.Run_config.metrics;
+  (* The cause counters must cover every pause: 100% attribution.  (Runs
+     with global collections are left out: a barrier wait counts its
+     cause, a concurrent slice does not.) *)
   List.iter
     (fun (vs : Metrics.vproc_stats) ->
-      let pauses =
-        List.fold_left
-          (fun acc k -> acc + (Metrics.kind_stats vs k).Metrics.pause_ns.Metrics.count)
-          0
-          [ Gc_trace.Minor; Gc_trace.Major; Gc_trace.Promotion; Gc_trace.Global ]
-      in
       let attributed =
         List.fold_left (fun acc (_, n) -> acc + n) 0 vs.Metrics.causes
       in
       Alcotest.(check int)
         (Printf.sprintf "vproc %d: every pause has a cause" vs.Metrics.vproc)
-        pauses attributed)
-    snap.Metrics.vprocs
+        (List.fold_left
+           (fun acc k -> acc + pauses vs k)
+           0
+           [ Event.Minor; Event.Major; Event.Promotion; Event.Global ])
+        attributed)
+    (Metrics.snapshot o.Harness.Run_config.metrics).Metrics.vprocs;
+  List.iter
+    (fun mode ->
+      let c = run_server mode in
+      Alcotest.(check bool) "global collections ran" true
+        (c.Ctx.stats.Gc_stats.global_count > 0);
+      check_stores_agree c)
+    [ Params.Stw; Params.Concurrent ]
 
 let test_matrix_matches_copied_bytes () =
   (* Exact-byte cross-check: the NUMA traffic matrix total must equal

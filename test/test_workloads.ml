@@ -72,14 +72,13 @@ let test_gc_exercised () =
   let rt = Sched.create ctx in
   ignore (Workloads.Registry.run spec rt ~scale:0.25);
   let c = Sched.ctx rt in
-  let agg =
-    Gc_stats.total
-      (Array.init (Ctx.n_vprocs c) (fun i -> (Ctx.mutator c i).Ctx.stats))
-  in
+  let agg = Ctx.gc_totals c in
   Alcotest.(check bool) "minors" true (agg.Gc_stats.minor_count > 0);
   Alcotest.(check bool) "majors" true (agg.Gc_stats.major_count > 0);
   Alcotest.(check bool) "promotions" true (agg.Gc_stats.promote_count > 0);
-  Alcotest.(check bool) "globals" true (c.Ctx.stats.Gc_stats.global_count > 0)
+  Alcotest.(check bool) "globals" true (c.Ctx.stats.Gc_stats.global_count > 0);
+  Alcotest.(check int) "run total counts the global collections"
+    c.Ctx.stats.Gc_stats.global_count agg.Gc_stats.global_count
 
 let test_barnes_hut_physics () =
   (* Momentum-free sanity: the checksum stays within the box bound and
