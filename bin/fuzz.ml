@@ -197,7 +197,9 @@ let profile =
           "Op-weight profile: $(b,default); $(b,steal-message) to hammer \
            the scheduler's steal/message promotion paths; \
            $(b,sessions) to hammer the server session lifecycle \
-           (open, request/response round trips, in-flight teardown); or \
+           (open, request/response round trips, in-flight teardown) and \
+           run generated send/recv/sync programs checked against a \
+           rendezvous model (the only profile with that op); or \
            $(b,global-heavy) to force global collections constantly and \
            mutate while evacuation is in flight (pair with \
            $(b,--global-mode concurrent)).")

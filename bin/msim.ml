@@ -91,8 +91,10 @@ let run name machine_name threads policy_str global_mode_str global_budget
     (o.Harness.Run_config.elapsed_ns /. 1e6);
   let s = o.Harness.Run_config.sched in
   Printf.printf "  scheduler     %d spawns, %d steals, %d inline runs, %d yields\n"
-    s.Runtime.Sched.spawns s.Runtime.Sched.steals s.Runtime.Sched.inline_runs
-    s.Runtime.Sched.yields;
+    s.Runtime.Sched.spawns
+    (Manticore_gc.Metrics.aggregate o.Harness.Run_config.metrics)
+      .Manticore_gc.Metrics.steal_successes
+    s.Runtime.Sched.inline_runs s.Runtime.Sched.yields;
   if verbose then
     Format.printf "  @[<v2>collector:@,%a@]@." Manticore_gc.Gc_stats.pp
       o.Harness.Run_config.gc;

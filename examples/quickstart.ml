@@ -58,7 +58,8 @@ let () =
     (Sched.elapsed_ns rt /. 1e6);
   let s = Sched.stats rt in
   Printf.printf "scheduler: %d spawns, %d steals, %d inline runs\n"
-    s.Sched.spawns s.Sched.steals s.Sched.inline_runs;
+    s.Sched.spawns (Metrics.aggregate ctx.Ctx.metrics).Metrics.steal_successes
+    s.Sched.inline_runs;
   Format.printf "collector: @[%a@]@." Gc_stats.pp (Ctx.gc_totals ctx);
   match Ctx.check_invariants ctx with
   | Ok summary ->

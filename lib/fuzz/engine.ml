@@ -357,6 +357,242 @@ let session_phase s ~seed ~reqs ~src ~dst =
        (List.init reqs (fun i ->
             Shadow.vec s.sh [ Shadow.vec s.sh [ Shadow.Imm i ]; ssrc ])))
 
+(* -- Generated channel programs ([Chan_mix]) -------------------------- *)
+
+(* One scripted channel op.  A plain [send] or [recv] is a single arm
+   with [choice = false]; a [sync] has two or three arms, which may mix
+   directions and name the same channel twice.  Every send arm carries a
+   phase-unique message id. *)
+type mix_arm =
+  | Mix_send of int * int (* channel, message id *)
+  | Mix_recv of int
+
+type mix_op = { arms : mix_arm array; choice : bool; think : float }
+
+(* How one op ended, recorded OCaml-side by the fiber that ran it.  Any
+   exception but [Closed] escapes the fiber and fails the phase. *)
+type mix_outcome =
+  | Unfinished
+  | Took of int * int option (* committed arm, id of the message taken *)
+  | Closed_out
+
+let mix_scripts ~seed ~fibers ~chans ~steps =
+  let st = Random.State.make [| seed |] in
+  let next_id = ref 0 in
+  let arm () =
+    let ch = Random.State.int st chans in
+    if Random.State.bool st then begin
+      let id = !next_id in
+      incr next_id;
+      Mix_send (ch, id)
+    end
+    else Mix_recv ch
+  in
+  Array.init fibers (fun _ ->
+      Array.init steps (fun _ ->
+          let choice = Random.State.int st 3 = 0 in
+          let n = if choice then 2 + Random.State.int st 2 else 1 in
+          let arms = Array.init n (fun _ -> arm ()) in
+          (* Some steps outlast the scheduler quantum, so the op's tick
+             yields and a channel can close inside that window. *)
+          let think = if Random.State.int st 4 = 0 then 200_000. else 0. in
+          { arms; choice; think }))
+
+(* A [Chan_mix] fiber: run the script, recording each op's outcome in
+   [outcomes], and return the messages it received (in the order its
+   ops took them) as one vector, or [unit] if it took none. *)
+let mix_fiber s sched chs script outcomes fm env =
+  let payload = Roots.add fm.Ctx.roots env.(0) in
+  let got = ref [] in
+  let msg id =
+    Alloc.alloc_vector s.ctx fm [| Value.of_int id; Roots.get payload |]
+  in
+  let run op =
+    match (op.choice, op.arms.(0)) with
+    | false, Mix_send (c, id) ->
+        Sched.send sched fm chs.(c) (msg id);
+        (0, Value.unit)
+    | false, Mix_recv c -> (0, Sched.recv sched fm chs.(c))
+    | true, _ ->
+        (* Each message stays rooted while the next one allocates. *)
+        let evs =
+          Array.map
+            (function
+              | Mix_send (c, id) ->
+                  `Send (chs.(c), Roots.add fm.Ctx.roots (msg id))
+              | Mix_recv c -> `Recv chs.(c))
+            op.arms
+        in
+        Sched.sync sched fm
+          (List.map
+             (function
+               | `Send (ch, cell) ->
+                   let v = Ctx.resolve s.ctx fm (Roots.get cell) in
+                   Roots.remove fm.Ctx.roots cell;
+                   Sched.Send_evt (ch, v)
+               | `Recv ch -> Sched.Recv_evt ch)
+             (Array.to_list evs))
+  in
+  Array.iteri
+    (fun i op ->
+      Ctx.charge_work s.ctx fm ~cycles:op.think;
+      outcomes.(i) <-
+        (match run op with
+        | k, v -> (
+            match op.arms.(k) with
+            | Mix_send _ -> Took (k, None)
+            | Mix_recv _ ->
+                let id = Ctx.get_field s.ctx fm (Value.to_ptr v) 0 in
+                got := Roots.add fm.Ctx.roots v :: !got;
+                Took (k, Some (Value.to_int id)))
+        | exception Sched.Closed -> Closed_out))
+    script;
+  Roots.remove fm.Ctx.roots payload;
+  let cells = List.rev !got in
+  let result =
+    if cells = [] then Value.unit
+    else
+      Alloc.alloc_vector s.ctx fm
+        (Array.of_list
+           (List.map (fun c -> Ctx.resolve s.ctx fm (Roots.get c)) cells))
+  in
+  List.iter (Roots.remove fm.Ctx.roots) cells;
+  result
+
+let proxy_count s =
+  let n = ref 0 in
+  for v = 0 to s.cfg.n_vprocs - 1 do
+    n := !n + Roots.count (mut s v).Ctx.proxies
+  done;
+  !n
+
+(* Check a finished [Chan_mix] run against the pure rendezvous model and
+   return the ids of the messages received.  Every op ended committed
+   or with [Closed]; each message was received at most once, and
+   exactly the committed sends were received — so a [sync] committed
+   one arm and no sibling's message escaped. *)
+let mix_model scripts outcomes =
+  let fail fmt =
+    Printf.ksprintf (fun m -> raise (Divergence ("chanmix: " ^ m))) fmt
+  in
+  let sent = Hashtbl.create 16 and got = Hashtbl.create 16 in
+  Array.iteri
+    (fun f outs ->
+      Array.iteri
+        (fun i outcome ->
+          match outcome with
+          | Unfinished -> fail "fiber %d op %d never finished" f i
+          | Closed_out -> ()
+          | Took (k, taken) -> (
+              match (scripts.(f).(i).arms.(k), taken) with
+              | Mix_send (_, id), None -> Hashtbl.replace sent id ()
+              | Mix_recv _, Some id ->
+                  if Hashtbl.mem got id then
+                    fail "message %d received twice" id;
+                  Hashtbl.replace got id ()
+              | _ -> fail "fiber %d op %d: arm %d returned the wrong kind" f i k
+              ))
+        outs)
+    outcomes;
+  Hashtbl.iter
+    (fun id () ->
+      if not (Hashtbl.mem sent id) then
+        fail "message %d received but its send never committed" id)
+    got;
+  Hashtbl.iter
+    (fun id () ->
+      if not (Hashtbl.mem got id) then
+        fail "send of message %d committed but it was never received" id)
+    sent;
+  List.sort compare (Hashtbl.fold (fun id () acc -> id :: acc) got [])
+
+let chan_mix s ~seed ~fibers ~chans ~steps ~src ~dst =
+  let fibers = 2 + (abs fibers mod 3) and chans = 2 + (abs chans mod 2) in
+  let steps = 1 + (abs steps mod 6) in
+  let scripts = mix_scripts ~seed ~fibers ~chans ~steps in
+  let outcomes =
+    Array.map (fun sc -> Array.make (Array.length sc) Unfinished) scripts
+  in
+  let ssrc = s.sregs.(0).(src) in
+  let globals0 = Roots.count s.ctx.Ctx.global_roots in
+  let proxies0 = proxy_count s in
+  let sched = Sched.create ~seed s.ctx in
+  let result =
+    Fun.protect
+      ~finally:(fun () -> Global_gc.install_sync_hook s.ctx)
+      (fun () ->
+        Sched.run sched ~main:(fun m ->
+            let chs = Array.init chans (fun _ -> Sched.new_channel sched m) in
+            let env0 = reg0_from_fiber s m src in
+            let futs =
+              Array.mapi
+                (fun f sc ->
+                  Sched.spawn sched m ~env:[| env0 |]
+                    (mix_fiber s sched chs sc outcomes.(f)))
+                scripts
+            in
+            (* Run ahead so the fibers start and park, then close the
+               channels under them one at a time. *)
+            Ctx.charge_work s.ctx m
+              ~cycles:(float_of_int (abs seed mod 4) *. 400_000.);
+            Sched.yield sched m;
+            Array.iter
+              (fun ch ->
+                Sched.close_channel sched ch;
+                Sched.yield sched m)
+              chs;
+            let cells =
+              Array.map
+                (fun f -> Roots.add m.Ctx.roots (Sched.await sched m f))
+                futs
+            in
+            (* Fiber [f]'s k-th received message is field k of its result. *)
+            let taken = ref [] in
+            Array.iteri
+              (fun f outs ->
+                let k = ref 0 in
+                Array.iter
+                  (function
+                    | Took (_, Some id) ->
+                        taken := (id, f, !k) :: !taken;
+                        incr k
+                    | _ -> ())
+                  outs)
+              outcomes;
+            let out =
+              match List.sort compare !taken with
+              | [] -> Value.of_int 0
+              | taken ->
+                  Alloc.alloc_vector s.ctx m
+                    (Array.of_list
+                       (List.map
+                          (fun (_, f, k) ->
+                            let r =
+                              Ctx.resolve s.ctx m (Roots.get cells.(f))
+                            in
+                            Ctx.get_field s.ctx m (Value.to_ptr r) k)
+                          taken))
+            in
+            Array.iter (Roots.remove m.Ctx.roots) cells;
+            out))
+  in
+  let ids = mix_model scripts outcomes in
+  if Roots.count s.ctx.Ctx.global_roots <> globals0 then
+    raise
+      (Divergence
+         (Printf.sprintf "chanmix: %d global roots before the phase, %d after"
+            globals0 (Roots.count s.ctx.Ctx.global_roots)));
+  if proxy_count s <> proxies0 then
+    raise
+      (Divergence
+         (Printf.sprintf "chanmix: %d proxies before the phase, %d after"
+            proxies0 (proxy_count s)));
+  set_reg s 0 dst result
+    (if ids = [] then Shadow.Imm 0
+     else
+       Shadow.vec s.sh
+         (List.map (fun id -> Shadow.vec s.sh [ Shadow.Imm id; ssrc ]) ids))
+
 let apply s (op : Op.t) =
   match op with
   | Alloc_vec { vproc; dst; srcs } ->
@@ -469,6 +705,8 @@ let apply s (op : Op.t) =
       chan_phase s ~seed ~msgs ~src:(rg src) ~dst:(rg dst)
   | Session_phase { seed; reqs; src; dst } ->
       session_phase s ~seed ~reqs ~src:(rg src) ~dst:(rg dst)
+  | Chan_mix { seed; fibers; chans; steps; src; dst } ->
+      chan_mix s ~seed ~fibers ~chans ~steps ~src:(rg src) ~dst:(rg dst)
   | Check -> check s
 
 (* ------------------------------------------------------------------ *)

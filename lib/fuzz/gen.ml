@@ -32,9 +32,10 @@ type profile =
           promotion paths (the batched write-buffer publish) *)
   | Sessions
       (** shift weight onto session/chan phases to hammer the server
-          workload's lifecycle: open a channel pair, serve
+          workload's lifecycle — open a channel pair, serve
           request/response round trips, and tear down with a recv still
-          parked *)
+          parked — and onto generated channel programs ([Chan_mix]),
+          the only profile that draws them *)
   | Global_heavy
       (** force global collections constantly and interleave them with
           mutation: heavy [Set_field]/ref traffic plus [Request_global]
@@ -66,7 +67,8 @@ type weights = {
   w_gstep : int;
   w_sched : int;
   w_chan : int;
-  w_session : int; (* the rest up to 100 is Check *)
+  w_session : int;
+  w_chanmix : int; (* the rest up to 100 is Check *)
 }
 
 let default_weights =
@@ -74,25 +76,30 @@ let default_weights =
     w_fillvec = 41; w_ref = 47; w_setf = 59; w_copy = 65; w_drop = 71;
     w_promote = 76; w_share = 81; w_mkproxy = 85; w_dropproxy = 86;
     w_minor = 90; w_major = 93; w_global = 94; w_reqglobal = 95;
-    w_gstep = 96; w_sched = 97; w_chan = 98; w_session = 99 }
+    w_gstep = 96; w_sched = 97; w_chan = 98; w_session = 99;
+    w_chanmix = 99 }
 
 let steal_message_weights =
   { w_vec = 12; w_raw_small = 17; w_raw_global = 19; w_raw_large = 21;
     w_fillvec = 25; w_ref = 29; w_setf = 35; w_copy = 39; w_drop = 45;
     w_promote = 56; w_share = 70; w_mkproxy = 72; w_dropproxy = 73;
     w_minor = 76; w_major = 79; w_global = 80; w_reqglobal = 81;
-    w_gstep = 82; w_sched = 88; w_chan = 94; w_session = 99 }
+    w_gstep = 82; w_sched = 88; w_chan = 94; w_session = 99;
+    w_chanmix = 99 }
 
 (* Spend roughly a third of the budget on the scheduler phases, with
    session lifecycles dominating: every op class stays reachable, but
    the generated programs open, serve and tear down sessions over and
-   over, interleaved with forced collections. *)
+   over, interleaved with forced collections.  Only this profile gives
+   [Chan_mix] a slice; the others leave it empty, so their programs do
+   not change with it. *)
 let sessions_weights =
   { w_vec = 10; w_raw_small = 14; w_raw_global = 16; w_raw_large = 18;
     w_fillvec = 21; w_ref = 24; w_setf = 30; w_copy = 33; w_drop = 38;
     w_promote = 43; w_share = 49; w_mkproxy = 51; w_dropproxy = 52;
     w_minor = 56; w_major = 59; w_global = 61; w_reqglobal = 62;
-    w_gstep = 63; w_sched = 68; w_chan = 78; w_session = 96 }
+    w_gstep = 63; w_sched = 68; w_chan = 78; w_session = 90;
+    w_chanmix = 96 }
 
 (* A fifth of the budget on the global-collection ops themselves (with
    [Global_step] dominating, so cycles routinely hang mid-evacuation
@@ -103,7 +110,8 @@ let global_heavy_weights =
     w_fillvec = 25; w_ref = 31; w_setf = 47; w_copy = 50; w_drop = 54;
     w_promote = 60; w_share = 66; w_mkproxy = 69; w_dropproxy = 71;
     w_minor = 73; w_major = 75; w_global = 80; w_reqglobal = 86;
-    w_gstep = 94; w_sched = 95; w_chan = 96; w_session = 97 }
+    w_gstep = 94; w_sched = 95; w_chan = 96; w_session = 97;
+    w_chanmix = 97 }
 
 let weights_of = function
   | Default -> default_weights
@@ -173,6 +181,11 @@ let op ?(sizes = default_sizes) ?(profile = Default) st ~n_vprocs : Op.t =
   else if r < w.w_session then
     Session_phase
       { seed = Random.State.bits st; reqs = 1 + Random.State.int st 5;
+        src = reg st; dst = reg st }
+  else if r < w.w_chanmix then
+    Chan_mix
+      { seed = Random.State.bits st; fibers = 2 + Random.State.int st 3;
+        chans = 2 + Random.State.int st 2; steps = 1 + Random.State.int st 6;
         src = reg st; dst = reg st }
   else Check
 

@@ -68,6 +68,21 @@ type t =
          request channel is closed while the session is parked on its
          next recv — the in-flight teardown path — and the responses
          are gathered into register [dst] *)
+  | Chan_mix of {
+      seed : int;
+      fibers : int;
+      chans : int;
+      steps : int;
+      src : int;
+      dst : int;
+    }
+      (* run a generated Runtime.Sched program over CML channels:
+         [fibers] fibers share [chans] channels, each running a
+         [seed]-derived script of [steps] sends, recvs and 2-3-arm
+         syncs whose messages are fresh vectors over register [src];
+         the main fiber closes every channel under them, checks the
+         outcome against a pure rendezvous model, and gathers the
+         received messages into register [dst] *)
   | Check (* full differential + invariant check, mid-program *)
 
 (* ------------------------------------------------------------------ *)
@@ -104,6 +119,9 @@ let to_string = function
       Printf.sprintf "chan %d %d %d %d" seed msgs src dst
   | Session_phase { seed; reqs; src; dst } ->
       Printf.sprintf "session %d %d %d %d" seed reqs src dst
+  | Chan_mix { seed; fibers; chans; steps; src; dst } ->
+      Printf.sprintf "chanmix %d %d %d %d %d %d" seed fibers chans steps src
+        dst
   | Check -> "check"
 
 let of_string line =
@@ -181,6 +199,11 @@ let of_string line =
       match (int se, int rq, int s, int d) with
       | Some seed, Some reqs, Some src, Some dst ->
           Ok (Session_phase { seed; reqs; src; dst })
+      | _ -> fail ())
+  | [ "chanmix"; se; f; c; st; s; d ] -> (
+      match (int se, int f, int c, int st, int s, int d) with
+      | Some seed, Some fibers, Some chans, Some steps, Some src, Some dst ->
+          Ok (Chan_mix { seed; fibers; chans; steps; src; dst })
       | _ -> fail ())
   | [ "check" ] -> Ok Check
   | _ -> fail ()

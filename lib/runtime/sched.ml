@@ -3,9 +3,7 @@ open Manticore_gc
 
 type stats = {
   mutable spawns : int;
-  mutable steals : int;
   mutable inline_runs : int;
-  mutable fibers_completed : int;
   mutable sends : int;
   mutable yields : int;
   mutable steal_promoted_bytes : int;
@@ -53,35 +51,36 @@ type vproc = {
 
 exception Closed
 
-(* Blocked channel partners.  A plain send/recv uses a fresh claim ref;
-   the arms of one [sync] choice share a claim ref, so committing any arm
-   atomically invalidates its siblings (the two-phase commit of Parallel
-   CML, simplified by the cooperative scheduler).  The fail path releases
-   the entry's rooted resources and discontinues the parked fiber — it is
-   how [close_channel] tears down a channel with fibers still blocked. *)
-type reader = {
-  r_vproc : int;
-  r_proxy : Roots.cell; (* in the receiver's proxy list *)
-  r_claim : bool ref;
-  r_resume : Value.t -> unit; (* deliver the message, reschedule the fiber *)
-  r_fail : exn -> unit; (* release resources, discontinue the fiber *)
-}
-
-type writer = {
-  s_vproc : int;
-  s_val : Roots.cell; (* promoted message, rooted with the runtime *)
-  s_claim : bool ref;
-  s_resume : unit -> unit;
-  s_fail : exn -> unit;
-}
-
 type chan = {
   ch_id : int;
   ch_obj : Roots.cell; (* the global-heap channel object *)
-  readers : reader Queue.t;
-  writers : writer Queue.t;
+  readers : parked Queue.t;
+  writers : parked Queue.t;
   mutable ch_open : bool;
 }
+
+and arm =
+  | Arm_send of chan * Value.t (* message already promoted *)
+  | Arm_recv of chan * Roots.cell (* pre-built proxy for blocking *)
+
+(* A [sync] choice parked on all its arms' channels (a plain send or
+   recv is a one-arm choice).  The first arm to commit, or the close of
+   any arm's channel, claims the whole choice: its other arms die where
+   they wait and their resources are released (the two-phase commit of
+   Parallel CML, simplified by the cooperative scheduler). *)
+and choice = {
+  c_vproc : int;
+  c_arms : arm array;
+  c_cells : Roots.cell array;
+      (* per arm, what it holds rooted: a send's promoted message (a
+         global root), a recv's proxy (in its vproc's proxy list) *)
+  c_k : (int * Value.t, unit) Effect.Deep.continuation;
+  mutable c_claimed : bool;
+}
+
+(* One arm of a parked choice, waiting in its channel's readers or
+   writers queue. *)
+and parked = { p_choice : choice; p_arm : int }
 
 type steal_policy = Random_victim | Near_first
 
@@ -102,20 +101,13 @@ type t = {
   mutable finished_ns : float;
 }
 
-type arm =
-  | Arm_send of chan * Value.t (* message already promoted *)
-  | Arm_recv of chan * Roots.cell (* pre-built proxy for blocking *)
-
 type _ Effect.t +=
   | Ef_yield : unit Effect.t
   | Ef_await : future -> Value.t Effect.t
-  | Ef_send : chan * Value.t -> unit Effect.t
-  | Ef_recv : chan * Roots.cell -> Value.t Effect.t
-  | Ef_sync : arm list -> (int * Value.t) Effect.t
+  | Ef_sync : arm array -> (int * Value.t) Effect.t
 
 let ctx t = t.c
 let stats t = t.st
-let n_vprocs t = Array.length t.vprocs
 let elapsed_ns t = t.finished_ns
 
 let create ?(quantum_ns = 50_000.) ?(eager_promotion = false)
@@ -141,9 +133,7 @@ let create ?(quantum_ns = 50_000.) ?(eager_promotion = false)
       st =
         {
           spawns = 0;
-          steals = 0;
           inline_runs = 0;
-          fibers_completed = 0;
           sends = 0;
           yields = 0;
           steal_promoted_bytes = 0;
@@ -174,27 +164,24 @@ let dbg fmt =
 
 let enqueue_task (v : vproc) ~ready_ns go = Queue.add { ready_ns; go } v.runnable
 
-(* Resume a parked fiber with a heap value.  The value must ride in a
-   root cell, not in the closure: the task may sit in the runnable queue
-   across collections, and a closure-captured Value.t is invisible to
-   the collector. *)
-let enqueue_resume (vp : vproc) ~ready_ns k v =
+(* Resume a parked fiber with a heap value, through [resume].  The value
+   must ride in a root cell, not in the closure: the task may sit in the
+   runnable queue across collections, and a closure-captured Value.t is
+   invisible to the collector. *)
+let enqueue_resume (vp : vproc) ~ready_ns v resume =
   let cell = Roots.add vp.mut.Ctx.roots v in
   enqueue_task vp ~ready_ns (fun () ->
       let v = Roots.get cell in
       Roots.remove vp.mut.Ctx.roots cell;
-      Effect.Deep.continue k v)
+      resume v)
 
 (* Pop entries until an unclaimed one appears; claimed entries are the
-   dead siblings of already-committed choices and are dropped (their
-   proxies are unregistered by the committing path). *)
-let rec take_unclaimed q claimed_of =
+   dead arms of already-committed choices and are dropped (their
+   resources were released by the committing path). *)
+let rec take_unclaimed q =
   match Queue.take_opt q with
   | None -> None
-  | Some e -> if !(claimed_of e) then take_unclaimed q claimed_of else Some e
-
-let take_reader ch = take_unclaimed ch.readers (fun r -> r.r_claim)
-let take_writer ch = take_unclaimed ch.writers (fun w -> w.s_claim)
+  | Some p -> if p.p_choice.c_claimed then take_unclaimed q else Some p
 
 (* ------------------------------------------------------------------ *)
 (* The promotion write buffer                                          *)
@@ -211,6 +198,12 @@ let flush_wbuf (v : vproc) =
 (* Turn boundary: every buffer must be published before the scheduler
    picks the next move (and before any stop-the-world collection). *)
 let flush_wbufs t = Array.iter flush_wbuf t.vprocs
+
+(* Promote several values on [m] in one batched cycle, or one full cycle
+   each when batching is disabled. *)
+let promote_all ?reason t m vals =
+  if t.batch_promotions then Promote.batch ?reason t.c m vals
+  else Array.map (Promote.value ?reason t.c m) vals
 
 (* Promote one value on [v], through its open write buffer when
    batching is enabled — consecutive promotions within one scheduler
@@ -267,7 +260,8 @@ let wake_waiters t (f : future) now =
               Effect.Deep.discontinue_with_backtrace w.w_k e bt)
       | Done _ ->
           let v = share t ~to_vproc:w.w_vproc f in
-          enqueue_resume t.vprocs.(w.w_vproc) ~ready_ns:now w.w_k v
+          enqueue_resume t.vprocs.(w.w_vproc) ~ready_ns:now v
+            (Effect.Deep.continue w.w_k)
       | _ -> assert false)
     ws
 
@@ -279,7 +273,6 @@ let complete t (v : vproc) (f : future) result =
   in
   f.fstate <- Done { owner = v.v_id; cell; err };
   f.done_ns <- v.mut.Ctx.now_ns;
-  t.st.fibers_completed <- t.st.fibers_completed + 1;
   dbg "v%d complete f%d (err=%b, %d waiters)" v.v_id f.fid (err <> None)
     (List.length f.waiters);
   wake_waiters t f v.mut.Ctx.now_ns
@@ -295,14 +288,7 @@ let claim_env t (v : vproc) (item : work_item) =
     let vals =
       Array.map (fun c -> Ctx.resolve t.c victim.mut (Roots.get c)) item.env
     in
-    let moved =
-      if t.batch_promotions then
-        Promote.batch ~reason:Obs.Gc_cause.Steal t.c victim.mut vals
-      else
-        Array.map
-          (fun value -> Promote.value ~reason:Obs.Gc_cause.Steal t.c victim.mut value)
-          vals
-    in
+    let moved = promote_all ~reason:Obs.Gc_cause.Steal t victim.mut vals in
     t.st.steal_promoted_bytes <-
       t.st.steal_promoted_bytes
       + (victim.mut.Ctx.stats.Gc_stats.promoted_bytes - before);
@@ -328,57 +314,142 @@ let take_env t (v : vproc) (item : work_item) =
   item.env <- [||];
   vals
 
-(* Resume a parked fiber with an (arm index, value) pair; the value rides
-   in a root cell like in {!enqueue_resume}. *)
-let enqueue_resume_pair (vp : vproc) ~ready_ns k i v =
-  let cell = Roots.add vp.mut.Ctx.roots v in
-  enqueue_task vp ~ready_ns (fun () ->
-      let v = Roots.get cell in
-      Roots.remove vp.mut.Ctx.roots cell;
-      Effect.Deep.continue k (i, v))
+let arm_chan = function Arm_send (ch, _) | Arm_recv (ch, _) -> ch
+let arm_dir = function Arm_send _ -> "send" | Arm_recv _ -> "recv"
+
+(* Checked first: even a disabled [dbg] builds its argument closures,
+   and this one runs for every arm of every parked choice. *)
+let dbg_arm what (c : choice) i =
+  if deadlock_debug then
+    dbg "v%d %s ch%d: %s" c.c_vproc (arm_dir c.c_arms.(i))
+      (arm_chan c.c_arms.(i)).ch_id what
+
+(* Release the rooted resources of every arm of a claimed choice except
+   [except] (whose resource the committing path consumed), last arm
+   first. *)
+let release t (c : choice) ~except =
+  for i = Array.length c.c_arms - 1 downto 0 do
+    if i <> except then
+      match c.c_arms.(i) with
+      | Arm_send _ -> Roots.remove t.c.Ctx.global_roots c.c_cells.(i)
+      | Arm_recv _ ->
+          Roots.remove t.vprocs.(c.c_vproc).mut.Ctx.proxies c.c_cells.(i)
+  done
+
+(* Reschedule a committed choice's fiber with its arm's result: the
+   message for a recv arm, unit for a send arm. *)
+let resume t (p : parked) msg =
+  let c = p.p_choice and i = p.p_arm in
+  let vp = t.vprocs.(c.c_vproc) in
+  dbg_arm "resumed" c i;
+  release t c ~except:i;
+  match c.c_arms.(i) with
+  | Arm_send _ ->
+      enqueue_task vp ~ready_ns:vp.mut.Ctx.now_ns (fun () ->
+          Effect.Deep.continue c.c_k (i, Value.unit))
+  | Arm_recv _ ->
+      enqueue_resume vp ~ready_ns:vp.mut.Ctx.now_ns msg (fun msg ->
+          Effect.Deep.continue c.c_k (i, msg))
+
+(* Fail a parked choice one of whose arms is on a closing channel:
+   release all its resources and discontinue the fiber with [Closed]. *)
+let fail t (p : parked) =
+  let c = p.p_choice in
+  let vp = t.vprocs.(c.c_vproc) in
+  c.c_claimed <- true;
+  dbg_arm "failed" c p.p_arm;
+  release t c ~except:(-1);
+  enqueue_task vp ~ready_ns:vp.mut.Ctx.now_ns (fun () ->
+      Effect.Deep.discontinue c.c_k Closed)
 
 (* Deliver [gmsg] to a blocked reader: claim its proxy (a remote store
    into the global heap), mark the choice committed, reschedule it.  The
    proxy cell must be resolved: a concurrent global collection may have
    evacuated the proxy object after the reader parked, and writing the
    state into the stale from-space copy would lose the update. *)
-let commit_reader t (v : vproc) (r : reader) gmsg =
-  r.r_claim := true;
-  let paddr = Value.to_ptr (Ctx.resolve t.c v.mut (Roots.get r.r_proxy)) in
+let commit_reader t (v : vproc) (r : parked) gmsg =
+  let c = r.p_choice in
+  let reader = t.vprocs.(c.c_vproc) in
+  let cell = c.c_cells.(r.p_arm) in
+  c.c_claimed <- true;
+  t.st.sends <- t.st.sends + 1;
+  let paddr = Value.to_ptr (Ctx.resolve t.c v.mut (Roots.get cell)) in
   Ctx.touch t.c v.mut ~addr:paddr ~bytes:16;
   Proxy.set_state t.c.Ctx.store paddr 1;
-  Roots.remove t.vprocs.(r.r_vproc).mut.Ctx.proxies r.r_proxy;
+  Roots.remove reader.mut.Ctx.proxies cell;
   (* The message reaches the reader's vproc OCaml-side (no heap read):
      taint it explicitly for the dirty-only ratify. *)
-  Ctx.conc_taint t.c t.vprocs.(r.r_vproc).mut gmsg;
-  r.r_resume gmsg
+  Ctx.conc_taint t.c reader.mut gmsg;
+  resume t r gmsg
 
 (* Take a blocked writer's message and reschedule it. *)
-let commit_writer t (v : vproc) (w : writer) =
-  w.s_claim := true;
-  let gmsg = Roots.get w.s_val in
-  Roots.remove t.c.Ctx.global_roots w.s_val;
+let commit_writer t (v : vproc) (w : parked) =
+  let c = w.p_choice in
+  let cell = c.c_cells.(w.p_arm) in
+  c.c_claimed <- true;
+  t.st.sends <- t.st.sends + 1;
+  let gmsg = Roots.get cell in
+  Roots.remove t.c.Ctx.global_roots cell;
   (* Same OCaml-side hand-off as [commit_reader], toward [v]. *)
   Ctx.conc_taint t.c v.mut gmsg;
-  w.s_resume ();
+  resume t w Value.unit;
   gmsg
 
-(* When one arm of a parked choice commits, every sibling arm's resources
-   die: the recv arms' pre-built proxies and the send arms' rooted
-   messages.  Each cleanup tracks whether its resource was already
-   consumed (by the commit path, or by an earlier release), so releasing
-   is idempotent and any other root-accounting error propagates instead
-   of being swallowed. *)
-type cleanup = { mutable consumed : bool; undo : unit -> unit }
+(* The recv arms' pre-built proxies are the only resources a choice
+   holds before it parks (send messages are rooted only once parked). *)
+let drop_proxies (v : vproc) arms =
+  Array.iter
+    (function
+      | Arm_recv (_, pc) -> Roots.remove v.mut.Ctx.proxies pc
+      | Arm_send _ -> ())
+    arms
 
-let release_choice (cleanups : cleanup list) =
-  List.iter
-    (fun c ->
-      if not c.consumed then begin
-        c.consumed <- true;
-        c.undo ()
-      end)
-    cleanups
+(* Park a choice on every arm's channel. *)
+let park t (v : vproc) k arms =
+  let cells =
+    Array.map
+      (function
+        | Arm_send (_, gmsg) -> Roots.add t.c.Ctx.global_roots gmsg
+        | Arm_recv (_, pc) -> pc)
+      arms
+  in
+  let c =
+    { c_vproc = v.v_id; c_arms = arms; c_cells = cells; c_k = k;
+      c_claimed = false }
+  in
+  Array.iteri
+    (fun i arm ->
+      dbg_arm "park" c i;
+      let p = { p_choice = c; p_arm = i } in
+      match arm with
+      | Arm_send (ch, _) -> Queue.add p ch.writers
+      | Arm_recv (ch, _) -> Queue.add p ch.readers)
+    arms
+
+(* Commit the first arm (from [i] on) with a waiting partner and resume
+   the fiber at once, or park the choice if no arm has one. *)
+let rec poll t (v : vproc) k arms i =
+  if i = Array.length arms then park t v k arms
+  else
+    match arms.(i) with
+    | Arm_send (ch, gmsg) -> (
+        match take_unclaimed ch.readers with
+        | Some r ->
+            dbg "v%d send ch%d: commit to reader@v%d" v.v_id ch.ch_id
+              r.p_choice.c_vproc;
+            commit_reader t v r gmsg;
+            drop_proxies v arms;
+            Effect.Deep.continue k (i, Value.unit)
+        | None -> poll t v k arms (i + 1))
+    | Arm_recv (ch, _) -> (
+        match take_unclaimed ch.writers with
+        | Some w ->
+            dbg "v%d recv ch%d: commit from writer@v%d" v.v_id ch.ch_id
+              w.p_choice.c_vproc;
+            let gmsg = commit_writer t v w in
+            drop_proxies v arms;
+            Effect.Deep.continue k (i, gmsg)
+        | None -> poll t v k arms (i + 1))
 
 (* Execute a work item to completion (modulo suspensions) on vproc [v]
    under a fresh handler. *)
@@ -412,204 +483,21 @@ let start_fiber t (v : vproc) (item : work_item) =
                    it. *)
                 dbg "v%d await f%d: park" v.v_id f.fid;
                 f.waiters <- { w_vproc = v.v_id; w_k = k } :: f.waiters)
-    | Ef_send (ch, gmsg) ->
-        Some
-          (fun k ->
-            (* [send] checked [ch_open] before its tick, but the channel
-               can be closed while this fiber is parked at that safe
-               point (e.g. by the peer, with a concurrent global cycle
-               yielding at every allocation).  Parking on a closed
-               channel would lose the fiber — [close_channel]'s fail
-               sweep has already run — so re-check at the park site and
-               fail exactly as that sweep would have. *)
-            if not ch.ch_open then
-              Effect.Deep.discontinue k Closed
-            else begin
-            t.st.sends <- t.st.sends + 1;
-            match take_reader ch with
-            | Some r ->
-                dbg "v%d send ch%d: commit to reader@v%d" v.v_id ch.ch_id
-                  r.r_vproc;
-                commit_reader t v r gmsg;
-                Effect.Deep.continue k ()
-            | None ->
-                dbg "v%d send ch%d: park" v.v_id ch.ch_id;
-                let cell = Roots.add t.c.Ctx.global_roots gmsg in
-                Queue.add
-                  {
-                    s_vproc = v.v_id;
-                    s_val = cell;
-                    s_claim = ref false;
-                    s_resume =
-                      (fun () ->
-                        dbg "v%d send ch%d: resumed" v.v_id ch.ch_id;
-                        enqueue_task v ~ready_ns:v.mut.Ctx.now_ns (fun () ->
-                            Effect.Deep.continue k ()));
-                    s_fail =
-                      (fun e ->
-                        dbg "v%d send ch%d: failed" v.v_id ch.ch_id;
-                        Roots.remove t.c.Ctx.global_roots cell;
-                        enqueue_task v ~ready_ns:v.mut.Ctx.now_ns (fun () ->
-                            Effect.Deep.discontinue k e));
-                  }
-                  ch.writers
-            end)
-    | Ef_recv (ch, proxy_cell) ->
-        Some
-          (fun k ->
-            (* Same closed-while-yielded race as [Ef_send]; the parked
-               proxy was pre-built by [recv], so release it like
-               [r_fail] would. *)
-            if not ch.ch_open then begin
-              Roots.remove v.mut.Ctx.proxies proxy_cell;
-              Effect.Deep.discontinue k Closed
-            end
-            else begin
-            match take_writer ch with
-            | Some w ->
-                dbg "v%d recv ch%d: commit from writer@v%d" v.v_id ch.ch_id
-                  w.s_vproc;
-                let gmsg = commit_writer t v w in
-                (* The pre-made proxy is not needed: drop it. *)
-                Roots.remove v.mut.Ctx.proxies proxy_cell;
-                Effect.Deep.continue k gmsg
-            | None ->
-                dbg "v%d recv ch%d: park" v.v_id ch.ch_id;
-                Queue.add
-                  {
-                    r_vproc = v.v_id;
-                    r_proxy = proxy_cell;
-                    r_claim = ref false;
-                    r_resume =
-                      (fun msg ->
-                        dbg "v%d recv ch%d: resumed" v.v_id ch.ch_id;
-                        enqueue_resume v ~ready_ns:v.mut.Ctx.now_ns k msg);
-                    r_fail =
-                      (fun e ->
-                        dbg "v%d recv ch%d: failed" v.v_id ch.ch_id;
-                        Roots.remove v.mut.Ctx.proxies proxy_cell;
-                        enqueue_task v ~ready_ns:v.mut.Ctx.now_ns (fun () ->
-                            Effect.Deep.discontinue k e));
-                  }
-                  ch.readers
-            end)
     | Ef_sync arms ->
         Some
           (fun k ->
-            (* An arm's channel closed while this fiber was parked at a
-               safe point between [sync]'s setup and here: fail the whole
-               choice with [Closed], as [close_channel] fails a parked
-               choice holding an arm on the closing channel.  The recv
-               arms' pre-built proxies are the only live resources (send
-               messages are rooted only once parked). *)
-            if
-              List.exists
-                (function
-                  | Arm_send (ch, _) | Arm_recv (ch, _) -> not ch.ch_open)
-                arms
-            then begin
-              List.iter
-                (function
-                  | Arm_recv (_, pc) -> Roots.remove v.mut.Ctx.proxies pc
-                  | Arm_send _ -> ())
-                arms;
+            (* The front end checked [ch_open] before its tick, but the
+               channel can be closed while this fiber is parked at that
+               safe point (e.g. by the peer, with a concurrent global
+               cycle yielding at every allocation).  Parking on a closed
+               channel would lose the fiber — [close_channel]'s fail
+               sweep has already run — so re-check here and fail the
+               whole choice exactly as that sweep would have. *)
+            if Array.exists (fun a -> not (arm_chan a).ch_open) arms then begin
+              drop_proxies v arms;
               Effect.Deep.discontinue k Closed
             end
-            else begin
-            (* Poll: commit the first arm with an available partner. *)
-            let rec poll i = function
-              | [] -> None
-              | Arm_send (ch, gmsg) :: rest -> (
-                  match take_reader ch with
-                  | Some r ->
-                      t.st.sends <- t.st.sends + 1;
-                      commit_reader t v r gmsg;
-                      Some (i, Value.unit)
-                  | None -> poll (i + 1) rest)
-              | Arm_recv (ch, _) :: rest -> (
-                  match take_writer ch with
-                  | Some w -> Some (i, commit_writer t v w)
-                  | None -> poll (i + 1) rest)
-            in
-            match poll 0 arms with
-            | Some (i, value) ->
-                (* Release the unused pre-built proxies of recv arms. *)
-                List.iter
-                  (function
-                    | Arm_recv (_, pc) -> Roots.remove v.mut.Ctx.proxies pc
-                    | Arm_send _ -> ())
-                  arms;
-                Effect.Deep.continue k (i, value)
-            | None ->
-                (* Park on every arm under one shared claim; collect the
-                   per-arm cleanups run when any arm commits. *)
-                let claim = ref false in
-                let cleanups = ref [] in
-                List.iteri
-                  (fun i arm ->
-                    match arm with
-                    | Arm_send (ch, gmsg) ->
-                        let cell = Roots.add t.c.Ctx.global_roots gmsg in
-                        let cl =
-                          {
-                            consumed = false;
-                            undo =
-                              (fun () -> Roots.remove t.c.Ctx.global_roots cell);
-                          }
-                        in
-                        cleanups := cl :: !cleanups;
-                        Queue.add
-                          {
-                            s_vproc = v.v_id;
-                            s_val = cell;
-                            s_claim = claim;
-                            s_resume =
-                              (fun () ->
-                                (* [commit_writer] took this arm's cell. *)
-                                cl.consumed <- true;
-                                release_choice !cleanups;
-                                enqueue_task v ~ready_ns:v.mut.Ctx.now_ns
-                                  (fun () ->
-                                    Effect.Deep.continue k (i, Value.unit)));
-                            s_fail =
-                              (fun e ->
-                                (* This arm's cell is still unconsumed:
-                                   releasing the choice drops it along
-                                   with every sibling's resource. *)
-                                release_choice !cleanups;
-                                enqueue_task v ~ready_ns:v.mut.Ctx.now_ns
-                                  (fun () -> Effect.Deep.discontinue k e));
-                          }
-                          ch.writers
-                    | Arm_recv (ch, pc) ->
-                        let cl =
-                          {
-                            consumed = false;
-                            undo = (fun () -> Roots.remove v.mut.Ctx.proxies pc);
-                          }
-                        in
-                        cleanups := cl :: !cleanups;
-                        Queue.add
-                          {
-                            r_vproc = v.v_id;
-                            r_proxy = pc;
-                            r_claim = claim;
-                            r_resume =
-                              (fun msg ->
-                                (* [commit_reader] unregistered this proxy. *)
-                                cl.consumed <- true;
-                                release_choice !cleanups;
-                                enqueue_resume_pair v ~ready_ns:v.mut.Ctx.now_ns
-                                  k i msg);
-                            r_fail =
-                              (fun e ->
-                                release_choice !cleanups;
-                                enqueue_task v ~ready_ns:v.mut.Ctx.now_ns
-                                  (fun () -> Effect.Deep.discontinue k e));
-                          }
-                          ch.readers)
-                  arms
-            end)
+            else poll t v k arms 0)
     | _ -> None
   in
   Effect.Deep.match_with
@@ -635,12 +523,7 @@ let spawn t (m : Ctx.mutator) ~env fn =
   t.next_fid <- t.next_fid + 1;
   (* Eager promotion (the ablation of §3.1's lazy scheme): pay the
      promotion at every spawn instead of only at actual steals. *)
-  let env =
-    if t.eager_promotion then
-      if t.batch_promotions then Promote.batch t.c m env
-      else Array.map (fun v -> Promote.value t.c m v) env
-    else env
-  in
+  let env = if t.eager_promotion then promote_all t m env else env in
   let item =
     {
       wid = t.next_wid;
@@ -675,12 +558,10 @@ let resolve_queued t (m : Ctx.mutator) (item : work_item) =
     (match item.fut.fstate with
     | Queued _ -> ()
     | _ -> failwith "Sched.resolve_queued: work item executed twice");
-    if item.env_owner <> m.Ctx.id then begin
-      t.st.steals <- t.st.steals + 1;
+    if item.env_owner <> m.Ctx.id then
       (* The inline claim probed the victim's deque: one executed
          attempt, immediately successful. *)
       Ctx.steal_probe t.c m ~victim:item.env_owner ~success:true
-    end
     else t.st.inline_runs <- t.st.inline_runs + 1;
     item.fut.fstate <- Running;
     claim_env t me item;
@@ -771,26 +652,29 @@ let close_channel t ch =
        failing keeps a sync choice with several arms on this channel
        from failing twice, and marks the choice dead for
        [take_unclaimed] on any other channel holding a sibling arm. *)
-    Queue.iter
-      (fun r ->
-        if not !(r.r_claim) then begin
-          r.r_claim := true;
-          r.r_fail Closed
-        end)
-      ch.readers;
-    Queue.iter
-      (fun w ->
-        if not !(w.s_claim) then begin
-          w.s_claim := true;
-          w.s_fail Closed
-        end)
-      ch.writers;
+    let fail_unclaimed p = if not p.p_choice.c_claimed then fail t p in
+    Queue.iter fail_unclaimed ch.readers;
+    Queue.iter fail_unclaimed ch.writers;
     Queue.clear ch.readers;
     Queue.clear ch.writers
   end
 
 let check_open ch = if not ch.ch_open then raise Closed
 
+(* Pre-build the proxy that will stand for a receiving fiber if it
+   blocks (the handler must not allocate). *)
+let mk_proxy t (m : Ctx.mutator) =
+  let stub = Alloc.alloc_raw t.c m ~words:1 in
+  let dest = Forward.global_dest t.c m ~on_copy:(fun _ _ -> ()) in
+  let paddr = dest.Forward.alloc_dst ((Proxy.size_words + 1) * 8) in
+  Proxy.init t.c.Ctx.store ~addr:paddr ~owner:m.Ctx.id ~referent:stub;
+  Ctx.touch t.c m ~addr:paddr ~bytes:(8 * (Proxy.size_words + 1));
+  Roots.add m.Ctx.proxies (Value.of_ptr paddr)
+
+(* [send] and [recv] are one-arm syncs in the handler, but keep their own
+   front ends: their costs differ from [sync]'s (write-buffered
+   promotion, what is rooted across the tick, the channel-object
+   touch). *)
 let send t (m : Ctx.mutator) ch value =
   check_open ch;
   (* Root the message across the tick's possible collection. *)
@@ -805,33 +689,18 @@ let send t (m : Ctx.mutator) ch value =
     wb_promote t t.vprocs.(m.Ctx.id) ~reason:Obs.Gc_cause.Pval_sync value
   in
   Ctx.touch t.c m ~addr:(Value.to_ptr (Roots.get ch.ch_obj)) ~bytes:16;
-  Effect.perform (Ef_send (ch, gmsg))
+  ignore (Effect.perform (Ef_sync [| Arm_send (ch, gmsg) |]))
 
 let recv t (m : Ctx.mutator) ch =
   check_open ch;
   tick t m;
-  (* Pre-build the proxy that will stand for this fiber if it blocks (the
-     handler must not allocate). *)
-  let stub = Alloc.alloc_raw t.c m ~words:1 in
-  let dest = Forward.global_dest t.c m ~on_copy:(fun _ _ -> ()) in
-  let paddr = dest.Forward.alloc_dst ((Proxy.size_words + 1) * 8) in
-  Proxy.init t.c.Ctx.store ~addr:paddr ~owner:m.Ctx.id ~referent:stub;
-  Ctx.touch t.c m ~addr:paddr ~bytes:(8 * (Proxy.size_words + 1));
-  let pcell = Roots.add m.Ctx.proxies (Value.of_ptr paddr) in
+  let pc = mk_proxy t m in
   Ctx.touch t.c m ~addr:(Value.to_ptr (Roots.get ch.ch_obj)) ~bytes:16;
-  Effect.perform (Ef_recv (ch, pcell))
+  snd (Effect.perform (Ef_sync [| Arm_recv (ch, pc) |]))
 
 (* First-class synchronous events with choice — the Parallel CML
    primitives the paper's explicit threading builds on (§2.1, [RRX09]). *)
 type event = Send_evt of chan * Value.t | Recv_evt of chan
-
-let mk_proxy t (m : Ctx.mutator) =
-  let stub = Alloc.alloc_raw t.c m ~words:1 in
-  let dest = Forward.global_dest t.c m ~on_copy:(fun _ _ -> ()) in
-  let paddr = dest.Forward.alloc_dst ((Proxy.size_words + 1) * 8) in
-  Proxy.init t.c.Ctx.store ~addr:paddr ~owner:m.Ctx.id ~referent:stub;
-  Ctx.touch t.c m ~addr:paddr ~bytes:(8 * (Proxy.size_words + 1));
-  Roots.add m.Ctx.proxies (Value.of_ptr paddr)
 
 let sync t (m : Ctx.mutator) (events : event list) =
   if events = [] then invalid_arg "Sched.sync: empty choice";
@@ -839,51 +708,49 @@ let sync t (m : Ctx.mutator) (events : event list) =
   (* Root every message across the tick's possible collection, promote
      them (the sender side of each arm shares its message, §3.1), and
      pre-build the blocking proxies for receive arms. *)
+  let evs = Array.of_list events in
   let cells =
-    List.map
+    Array.map
       (function
-        | Send_evt (ch, v) -> (ch, `S, Roots.add m.Ctx.roots v)
-        | Recv_evt ch -> (ch, `R, Roots.add m.Ctx.roots Value.unit))
-      events
+        | Send_evt (_, v) -> Roots.add m.Ctx.roots v
+        | Recv_evt _ -> Roots.add m.Ctx.roots Value.unit)
+      evs
   in
   tick t m;
   (* The send arms of one choice are a natural write-buffer batch: all
-     their messages publish in a single promotion cycle. *)
-  let gmsgs =
-    match
-      List.filter_map
-        (fun (_, kind, cell) ->
-          match kind with
-          | `S -> Some (Ctx.resolve t.c m (Roots.get cell))
-          | `R -> None)
-        cells
-    with
-    | [] -> []
-    | vals ->
-        let arr = Array.of_list vals in
-        let out =
-          if t.batch_promotions then
-            Promote.batch ~reason:Obs.Gc_cause.Pval_sync t.c m arr
-          else
-            Array.map
-              (fun v -> Promote.value ~reason:Obs.Gc_cause.Pval_sync t.c m v)
-              arr
-        in
-        Array.to_list out
+     their messages publish in a single promotion cycle.  Each promoted
+     message goes back into its cell, which stays rooted until the recv
+     arms' proxies are built: allocating a proxy's stub can reach the
+     global-GC safe point, and a collection there moves the messages. *)
+  let is_send = function Send_evt _ -> true | Recv_evt _ -> false in
+  let send_cells =
+    List.filteri (fun i _ -> is_send evs.(i)) (Array.to_list cells)
   in
-  let rec build gs = function
-    | [] -> []
-    | (ch, `S, cell) :: rest ->
-        let g, gs =
-          match gs with g :: gs -> (g, gs) | [] -> assert false
-        in
-        Roots.remove m.Ctx.roots cell;
-        Arm_send (ch, g) :: build gs rest
-    | (ch, `R, cell) :: rest ->
-        Roots.remove m.Ctx.roots cell;
-        Arm_recv (ch, mk_proxy t m) :: build gs rest
+  if send_cells <> [] then begin
+    let vals = List.map (fun c -> Ctx.resolve t.c m (Roots.get c)) send_cells in
+    let gs =
+      promote_all ~reason:Obs.Gc_cause.Pval_sync t m (Array.of_list vals)
+    in
+    List.iteri (fun j c -> Roots.set c gs.(j)) send_cells
+  end;
+  Array.iteri
+    (fun i c -> if not (is_send evs.(i)) then Roots.remove m.Ctx.roots c)
+    cells;
+  (* A recv arm's cell now holds its proxy.  The proxies are built last
+     arm first, which fixes their addresses. *)
+  for i = Array.length evs - 1 downto 0 do
+    if not (is_send evs.(i)) then cells.(i) <- mk_proxy t m
+  done;
+  let arms =
+    Array.mapi
+      (fun i -> function
+        | Recv_evt ch -> Arm_recv (ch, cells.(i))
+        | Send_evt (ch, _) ->
+            let g = Roots.get cells.(i) in
+            Roots.remove m.Ctx.roots cells.(i);
+            Arm_send (ch, g))
+      evs
   in
-  let arms = build gmsgs cells in
   Effect.perform (Ef_sync arms)
 
 let select t m chans = sync t m (List.map (fun ch -> Recv_evt ch) chans)
@@ -1003,7 +870,6 @@ let run_move t = function
       | None -> ()
       | Some item ->
           item.on_queue <- None;
-          t.st.steals <- t.st.steals + 1;
           thief.mut.Ctx.now_ns <-
             Float.max thief.mut.Ctx.now_ns item.pushed_ns;
           t.turn_start_ns <- thief.mut.Ctx.now_ns;

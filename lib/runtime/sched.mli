@@ -27,14 +27,22 @@ type t
 type future
 type chan
 
+(** Scheduler counters.  Steals are not counted here: every executed
+    steal is a successful {!Manticore_gc.Ctx.steal_probe}, so
+    [(Metrics.aggregate (ctx t).metrics).steal_successes] is the count. *)
 type stats = {
   mutable spawns : int;
-  mutable steals : int;
   mutable inline_runs : int;  (** futures claimed and run by the awaiter *)
-  mutable fibers_completed : int;
   mutable sends : int;
+      (** messages delivered: one per rendezvous, whether the sender or
+          the receiver arrived second and whether either side was a
+          plain {!send}/{!recv} or a {!sync} arm.  A send that fails
+          with {!Closed} delivers nothing and is not counted. *)
   mutable yields : int;
+      (** fiber yields: {!yield}, {!tick} at quantum expiry, and the
+          global-GC safe point *)
   mutable steal_promoted_bytes : int;
+      (** bytes promoted out of victims' local heaps by steals *)
 }
 
 type steal_policy =
@@ -140,5 +148,3 @@ val run : t -> main:(Ctx.mutator -> Value.t) -> Value.t
 val elapsed_ns : t -> float
 (** Virtual makespan of the last {!run}: the largest vproc clock when the
     main fiber completed. *)
-
-val n_vprocs : t -> int

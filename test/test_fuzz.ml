@@ -22,27 +22,39 @@ let test_smoke_batch () =
 
 let test_sessions_profile () =
   (* The sessions weight profile must actually generate session
-     lifecycles, and the lifecycle op — open, serve, close with a recv
-     parked — must pass the differential checker. *)
+     lifecycles and generated channel programs, and both — open, serve,
+     close with a recv parked; and the Chan_mix rendezvous model — must
+     pass the differential checker under either global collector. *)
   let ops =
     Fuzz.Gen.program ~profile:Fuzz.Gen.Sessions ~seed:7100 ~n_ops:200
       ~n_vprocs:default_vprocs ()
   in
-  let sessions =
-    List.length
-      (List.filter
-         (function Fuzz.Op.Session_phase _ -> true | _ -> false)
-         ops)
-  in
-  Alcotest.(check bool) "many session phases" true (sessions > 10);
-  match
-    Fuzz.Driver.campaign ~profile:Fuzz.Gen.Sessions ~shrink:false ~seed:7100
-      ~programs:3 ~n_ops:120 ()
-  with
-  | Ok n -> Alcotest.(check int) "all programs pass" 3 n
-  | Error f ->
-      Alcotest.failf "seed %d diverged at op %d: %s" f.Fuzz.Driver.seed
-        f.Fuzz.Driver.op_index f.Fuzz.Driver.message
+  let count p = List.length (List.filter p ops) in
+  Alcotest.(check bool) "many session phases" true
+    (count (function Fuzz.Op.Session_phase _ -> true | _ -> false) > 10);
+  Alcotest.(check bool) "many channel programs" true
+    (count (function Fuzz.Op.Chan_mix _ -> true | _ -> false) > 5);
+  List.iter
+    (fun mode ->
+      let cfg =
+        {
+          Fuzz.Engine.default_cfg with
+          Fuzz.Engine.params =
+            {
+              Fuzz.Engine.default_cfg.Fuzz.Engine.params with
+              Manticore_gc.Params.global_gc_mode = mode;
+            };
+        }
+      in
+      match
+        Fuzz.Driver.campaign ~cfg ~profile:Fuzz.Gen.Sessions ~shrink:false
+          ~seed:7100 ~programs:3 ~n_ops:120 ()
+      with
+      | Ok n -> Alcotest.(check int) "all programs pass" 3 n
+      | Error f ->
+          Alcotest.failf "seed %d diverged at op %d: %s" f.Fuzz.Driver.seed
+            f.Fuzz.Driver.op_index f.Fuzz.Driver.message)
+    [ Manticore_gc.Params.Stw; Manticore_gc.Params.Concurrent ]
 
 let test_collections_exercised () =
   (* The smoke batch is only meaningful if programs actually reach the

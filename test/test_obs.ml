@@ -427,9 +427,7 @@ let test_failed_steals_counted () =
   Alcotest.(check int) "ring attempts = metrics attempts"
     agg.Metrics.steal_attempts !ring_attempts;
   Alcotest.(check int) "ring successes = metrics successes"
-    agg.Metrics.steal_successes !ring_successes;
-  Alcotest.(check int) "scheduler stats agree" (Sched.stats rt).Sched.steals
-    !ring_successes
+    agg.Metrics.steal_successes !ring_successes
 
 let test_disabled_recorder_is_silent () =
   let o =

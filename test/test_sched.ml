@@ -86,7 +86,8 @@ let test_stealing_happens () =
          in
          List.iter (fun f -> ignore (Sched.await rt m f)) futs;
          Value.unit));
-  Alcotest.(check bool) "steals occurred" true ((Sched.stats rt).Sched.steals > 0)
+  Alcotest.(check bool) "steals occurred" true
+    ((Metrics.aggregate (Sched.ctx rt).Ctx.metrics).Metrics.steal_successes > 0)
 
 let test_stolen_env_promoted () =
   let rt = mk_rt ~n_vprocs:2 () in
@@ -201,6 +202,49 @@ let test_channels_rendezvous () =
   Alcotest.(check int) "messages received" 165 (Value.to_int r);
   Alcotest.(check int) "sends counted" 5 (Sched.stats rt).Sched.sends
 
+(* [sends] counts messages delivered, whichever side arrived second and
+   whether it was a plain op or a [sync] arm. *)
+let test_sends_count_parked_sync_arm () =
+  let rt = mk_rt ~n_vprocs:2 () in
+  let r =
+    Sched.run rt ~main:(fun m ->
+        let ch = Sched.new_channel rt m in
+        let sender =
+          Sched.spawn rt m ~env:[||] (fun m' _ ->
+              ignore (Sched.sync rt m' [ Sched.Send_evt (ch, Value.of_int 3) ]);
+              Value.unit)
+        in
+        (* Let the sender get stolen and park before the recv takes it. *)
+        Ctx.charge_work (Sched.ctx rt) m ~cycles:2_000_000.;
+        Sched.yield rt m;
+        let v = Sched.recv rt m ch in
+        ignore (Sched.await rt m sender);
+        v)
+  in
+  Alcotest.(check int) "message received" 3 (Value.to_int r);
+  Alcotest.(check int) "one delivery" 1 (Sched.stats rt).Sched.sends
+
+let test_sends_skip_failed_send () =
+  let rt = mk_rt ~n_vprocs:2 () in
+  let r =
+    Sched.run rt ~main:(fun m ->
+        let ch = Sched.new_channel rt m in
+        let sender =
+          Sched.spawn rt m ~env:[||] (fun m' _ ->
+              Sched.send rt m' ch (Value.of_int 3);
+              Value.unit)
+        in
+        (* Let the sender get stolen and park, then fail it. *)
+        Ctx.charge_work (Sched.ctx rt) m ~cycles:2_000_000.;
+        Sched.yield rt m;
+        Sched.close_channel rt ch;
+        match Sched.await rt m sender with
+        | _ -> Value.of_int 0
+        | exception Sched.Closed -> Value.of_int 1)
+  in
+  Alcotest.(check int) "parked send failed with Closed" 1 (Value.to_int r);
+  Alcotest.(check int) "no delivery" 0 (Sched.stats rt).Sched.sends
+
 let test_channel_messages_are_global () =
   let rt = mk_rt ~n_vprocs:2 () in
   let c = Sched.ctx rt in
@@ -269,6 +313,10 @@ let suite =
       Alcotest.test_case "main exception" `Quick test_main_exception;
       Alcotest.test_case "virtual-time speedup" `Quick test_virtual_time_speedup;
       Alcotest.test_case "channel rendezvous" `Quick test_channels_rendezvous;
+      Alcotest.test_case "sends: parked sync arm delivered" `Quick
+        test_sends_count_parked_sync_arm;
+      Alcotest.test_case "sends: failed send not counted" `Quick
+        test_sends_skip_failed_send;
       Alcotest.test_case "messages are global" `Quick test_channel_messages_are_global;
       Alcotest.test_case "gc during parallel run" `Quick test_gc_during_parallel_run;
     ] )
