@@ -72,9 +72,9 @@ let slice ctx (st : Ctx.conc_state) (m : Ctx.mutator) ~phases work =
   let ev = st.Ctx.cg_evac in
   let cause = ev.Ctx.ev_cause in
   let t0 = m.Ctx.now_ns and b0 = ev.Ctx.ev_copied_by.(m.Ctx.id) in
-  m.Ctx.in_gc <- true;
+  Ctx.set_in_gc m true;
   work ();
-  m.Ctx.in_gc <- false;
+  Ctx.set_in_gc m false;
   Ctx.emit ctx m ~t_ns:t0 (Obs.Event.Coll_begin { kind = Global; cause });
   List.iter
     (fun (phase, dur_ns) ->
@@ -291,7 +291,7 @@ let entry_round ctx (st : Ctx.conc_state) ~lead ~member =
     ~on_sync:(record_round ctx st ~lead ~member ~exit:false)
     (fun m ->
       Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.barrier_cycles;
-      m.Ctx.in_gc <- true)
+      Ctx.set_in_gc m true)
 
 (* Rescan: with the dirty vprocs stopped, one pass suffices — the
    residual log and the stopped vprocs' roots and local heaps hold
@@ -324,7 +324,7 @@ let exit_round ctx (st : Ctx.conc_state) ~(lead : Ctx.mutator) ~member ~t_sync =
   let cause = st.Ctx.cg_evac.Ctx.ev_cause in
   ignore
     (Global_cycle.barrier ctx ~cause ~member ~on_sync (fun m ->
-         m.Ctx.in_gc <- false))
+         Ctx.set_in_gc m false))
 
 (* Per-vproc ratified/skipped counts and the cycle's summary events. *)
 let record_ratified ctx (st : Ctx.conc_state) ~(lead : Ctx.mutator) ~member =

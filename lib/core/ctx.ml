@@ -1,6 +1,10 @@
 open Heap
 open Sim_mem
 
+(* Per-vproc time accumulators.  All fields are floats, so OCaml stores
+   them unboxed and a charge adds to one without allocating. *)
+type accum = { mutable gc_ns : float  (* [stats.gc_ns], running ahead *) }
+
 type mutator = {
   id : int;
   node : int;
@@ -10,6 +14,7 @@ type mutator = {
   remembered : Remember.t;
   mutable now_ns : float;
   mutable in_gc : bool;
+  accum : accum;
   stats : Gc_stats.t;
 }
 
@@ -132,6 +137,7 @@ let create ?(params = Params.default) ?(cap_scale = 1.) ~machine ~n_vprocs
           remembered = Remember.create ();
           now_ns = 0.;
           in_gc = false;
+          accum = { gc_ns = 0. };
           stats = Gc_stats.create ();
         })
   in
@@ -272,9 +278,16 @@ let gc_totals t =
   acc.Gc_stats.global_count <- t.stats.Gc_stats.global_count;
   acc
 
+(* In-collector time accrues unboxed in [m.accum] and is copied to
+   [m.stats] when [m] leaves collector context, so [exit_collection]'s
+   observers and every reader outside a collection see it exact. *)
+let set_in_gc m in_gc =
+  m.in_gc <- in_gc;
+  if not in_gc then m.stats.Gc_stats.gc_ns <- m.accum.gc_ns
+
 let charge_ns m ns =
   m.now_ns <- m.now_ns +. ns;
-  if m.in_gc then m.stats.Gc_stats.gc_ns <- m.stats.Gc_stats.gc_ns +. ns
+  if m.in_gc then m.accum.gc_ns <- m.accum.gc_ns +. ns
 
 let charge_work t m ~cycles = charge_ns m (Numa.Cost_model.work t.cost ~cycles)
 

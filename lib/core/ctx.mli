@@ -13,6 +13,9 @@ open Heap
    application code should treat them as read-only and use the charged
    accessors. *)
 
+type accum
+(** A vproc's unboxed time accumulators, written only by {!charge_ns}. *)
+
 type mutator = {
   id : int;
   node : int;  (** NUMA node of the hosting core *)
@@ -26,7 +29,14 @@ type mutator = {
           barrier of {!Mut}); scanned and cleared by minor collections *)
   mutable now_ns : float;  (** the vproc's virtual clock *)
   mutable in_gc : bool;
-  stats : Gc_stats.t;  (** the vproc's counters; see {!span} *)
+      (** in collector context: {!charge_ns} also counts the time as
+          collector time.  Written only through {!set_in_gc}. *)
+  accum : accum;
+  stats : Gc_stats.t;
+      (** the vproc's counters; see {!span}.  [stats.gc_ns] is current
+          whenever the vproc is outside collector context, including
+          while the {!set_on_collection} observer runs; inside, it lags
+          by the time charged since the vproc entered. *)
 }
 
 type evac = {
@@ -232,7 +242,16 @@ val gc_totals : t -> Gc_stats.t
 
 (** {2 Charging} *)
 
+val set_in_gc : mutator -> bool -> unit
+(** Enter ([true]) or leave ([false]) collector context.  Leaving
+    publishes the vproc's collector time to [stats.gc_ns].  A collector
+    leaves before its {!exit_collection}, so the observer sees every
+    vproc's [gc_ns] exact. *)
+
 val charge_ns : mutator -> float -> unit
+(** Advance [m]'s clock by [ns]; in collector context, count them as
+    collector time too. *)
+
 val charge_work : t -> mutator -> cycles:float -> unit
 val read_word : t -> mutator -> int -> int
 (** Charged single-word load of a tagged word (header, forwarding word

@@ -15,7 +15,10 @@ type t = {
   mutable alloc_bytes : int;  (** nursery bytes allocated by the mutator *)
   mutable global_alloc_bytes : int;  (** direct global-heap allocations *)
   mutable chunk_acquires : int;
-  mutable gc_ns : float;  (** simulated time spent inside collectors *)
+  mutable gc_ns : float;
+      (** simulated time spent inside collectors.  A vproc's is current
+          whenever the vproc is outside collector context (see
+          [Ctx.set_in_gc]). *)
 }
 
 val create : unit -> t

@@ -23,7 +23,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
      proceeds until the slowest vproc arrives. *)
   Array.iter
     (fun (m : Ctx.mutator) ->
-      m.Ctx.in_gc <- true;
+      Ctx.set_in_gc m true;
       Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.barrier_cycles;
       Minor_gc.run ~cause ctx m;
       Major_gc.run ~cause ctx m)
@@ -50,7 +50,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
   ignore
     (Global_cycle.barrier ctx ~cause ~member:all (fun m ->
          Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.barrier_cycles;
-         m.Ctx.in_gc <- false));
+         Ctx.set_in_gc m false));
   Array.iter
     (fun (m : Ctx.mutator) ->
       Ctx.span ctx m Global ~cause ~t_start

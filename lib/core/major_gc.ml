@@ -38,7 +38,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
     Minor_gc.run ~cause ctx m;
   let t_start = m.Ctx.now_ns in
   let was_in_gc = m.Ctx.in_gc in
-  m.Ctx.in_gc <- true;
+  Ctx.set_in_gc m true;
   Ctx.emit ctx m (Obs.Event.Coll_begin { kind = Major; cause });
   let store = ctx.Ctx.store in
   let lh = m.Ctx.lh in
@@ -150,5 +150,5 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
   Remember.clear m.Ctx.remembered;
   List.iter (fun slot -> Remember.add m.Ctx.remembered ~slot) !kept;
   Ctx.span ctx m Major ~cause ~t_start ~bytes:!copied;
-  m.Ctx.in_gc <- was_in_gc;
+  Ctx.set_in_gc m was_in_gc;
   Ctx.exit_collection ctx Gc_trace.Major

@@ -3,7 +3,7 @@ open Heap
 let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
   let t_start = m.Ctx.now_ns in
   let was_in_gc = m.Ctx.in_gc in
-  m.Ctx.in_gc <- true;
+  Ctx.set_in_gc m true;
   Ctx.enter_collection ctx;
   Ctx.emit ctx m (Obs.Event.Coll_begin { kind = Minor; cause });
   let lh = m.Ctx.lh in
@@ -57,5 +57,5 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx (m : Ctx.mutator) =
   (* The remembered targets are old data now. *)
   Remember.clear m.Ctx.remembered;
   Ctx.span ctx m Minor ~cause ~t_start ~bytes:!copied;
-  m.Ctx.in_gc <- was_in_gc;
+  Ctx.set_in_gc m was_in_gc;
   Ctx.exit_collection ctx Gc_trace.Minor

@@ -15,7 +15,7 @@ let value ?(reason = Obs.Gc_cause.Explicit) ctx (m : Ctx.mutator) v =
     let cause = Obs.Gc_cause.Promotion reason in
     let t_start = m.Ctx.now_ns in
     let was_in_gc = m.Ctx.in_gc in
-    m.Ctx.in_gc <- true;
+    Ctx.set_in_gc m true;
     Ctx.enter_collection ctx;
     Ctx.emit ctx m (Obs.Event.Coll_begin { kind = Promotion; cause });
     charge_spinup ctx m;
@@ -33,7 +33,7 @@ let value ?(reason = Obs.Gc_cause.Explicit) ctx (m : Ctx.mutator) v =
       Forward.scan_fields ctx m ~dest ~in_from (Queue.pop pending)
     done;
     Ctx.span ctx m Promotion ~cause ~t_start ~bytes:!promoted;
-    m.Ctx.in_gc <- was_in_gc;
+    Ctx.set_in_gc m was_in_gc;
     Ctx.exit_collection ctx Gc_trace.Promotion;
     (* Mid-cycle, the local forward word followed by [evacuate] can point
        at condemned from-space: the caller is about to stash that address,
@@ -99,7 +99,7 @@ let batch_add b v =
   else begin
     let t_start = m.Ctx.now_ns in
     let was_in_gc = m.Ctx.in_gc in
-    m.Ctx.in_gc <- true;
+    Ctx.set_in_gc m true;
     Ctx.enter_collection ctx;
     if not b.b_spun_up then begin
       b.b_spun_up <- true;
@@ -116,7 +116,7 @@ let batch_add b v =
       Forward.scan_fields ctx m ~dest:b.b_dest ~in_from (Queue.pop b.b_pending)
     done;
     b.b_values <- b.b_values + 1;
-    m.Ctx.in_gc <- was_in_gc;
+    Ctx.set_in_gc m was_in_gc;
     Ctx.exit_collection ctx Gc_trace.Promotion;
     b.b_pause_ns <- b.b_pause_ns +. (m.Ctx.now_ns -. t_start);
     (* Same re-acquisition taint as [value]: a batched promote can hand

@@ -29,13 +29,13 @@ let create ~size_kb ~line_bytes =
     misses = 0;
   }
 
-let line_bytes t = 1 lsl t.line_bits
-
 (* Probe and reorder in one pass: way [j] takes [carry], the tag that was
    one step more recent, until the way that held [line] is overwritten (a
    hit) or the LRU way falls off the end (a miss).  Either way [line]
-   ends at way 0. *)
-let rec shift tags line j last carry =
+   ends at way 0.  The annotation matters: inferred, [shift] is
+   polymorphic, so each way it probes pays the write barrier
+   ([caml_modify]) and a polymorphic compare ([caml_equal]). *)
+let rec shift (tags : int array) (line : int) j last (carry : int) =
   let tag = tags.(j) in
   tags.(j) <- carry;
   tag = line || (j < last && shift tags line (j + 1) last tag)

@@ -9,12 +9,12 @@ val create : size_kb:int -> line_bytes:int -> t
 (** [create ~size_kb ~line_bytes] rounds the set count down to a power of
     two.  Raises [Invalid_argument] if either argument is not positive. *)
 
-val line_bytes : t -> int
-
 val access : t -> int -> bool
 (** [access t addr] probes and fills the line containing byte address
-    [addr]; returns [true] on a hit.  Allocates nothing.  Hit or fill,
-    the line is left most recent in its set. *)
+    [addr]; returns [true] on a hit.  Hit or fill, the line is left most
+    recent in its set.  It allocates nothing and runs no write barrier
+    and no polymorphic compare: each probed way is an integer load,
+    store and compare. *)
 
 val probe : t -> int -> bool
 (** [probe t addr] checks for a hit without filling. *)

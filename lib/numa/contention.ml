@@ -1,9 +1,13 @@
+(* All fields are floats, so OCaml stores the record flat: [roll] and
+   [charge] store unboxed floats, with no allocation and no write
+   barrier.  [window] is an integral float.  Window indices stay far
+   below 2^53, where subtracting integral floats is exact. *)
 type t = {
   gb_per_s : float; (* real service rate: GB/s = bytes per ns *)
   cap_gb_per_s : float; (* shared capacity for saturation accounting *)
   window_ns : float;
   cap_bytes : float; (* servable bytes per window *)
-  mutable window : int;
+  mutable window : float; (* index of the current window *)
   mutable bytes : float; (* offered in the current window, incl. carry *)
   mutable total : float;
 }
@@ -17,17 +21,17 @@ let create ~gb_per_s ?(cap_scale = 1.) ?(window_ns = 100_000.) () =
     cap_gb_per_s;
     window_ns;
     cap_bytes = cap_gb_per_s *. window_ns;
-    window = 0;
+    window = 0.;
     bytes = 0.;
     total = 0.;
   }
 
 let roll t now_ns =
-  let w = int_of_float (now_ns /. t.window_ns) in
+  let w = Float.of_int (int_of_float (now_ns /. t.window_ns)) in
   if w > t.window then begin
     (* Unserved overflow spills forward; idle windows drain it. *)
     let carry = Float.max 0. (t.bytes -. t.cap_bytes) in
-    let idle = float_of_int (w - t.window - 1) in
+    let idle = w -. t.window -. 1. in
     t.bytes <- Float.max 0. (carry -. (idle *. t.cap_bytes));
     t.window <- w
   end
@@ -51,7 +55,9 @@ let charge t ~now_ns ~bytes =
   (b /. t.gb_per_s)
   +. ((over1 -. over0) *. overflow_scale *. u /. t.cap_gb_per_s)
 
+(* Reading must not move the meter, so it rolls a copy. *)
 let utilization t ~now_ns =
+  let t = { t with window = t.window } in
   roll t now_ns;
   t.bytes /. t.cap_bytes
 

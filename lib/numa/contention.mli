@@ -37,7 +37,8 @@ val service_ns : t -> bytes:int -> float
 
 val utilization : t -> now_ns:float -> float
 (** Offered load over capacity for the window containing [now_ns]
-    (may exceed 1 under overload). *)
+    (may exceed 1 under overload).  A pure read: it does not change the
+    meter, so every later charge costs what it would have without it. *)
 
 val total_bytes : t -> float
 (** All traffic ever charged, for measured-bandwidth reports. *)

@@ -1,10 +1,62 @@
 (* The reference oracle for the access fast path: the cost model as it
    was before the fast path, kept verbatim in algorithm.  Its cache
    finds a way and then promotes it; its [access] and [bulk] probe every
-   line.  The fast-path tests demand bit-identical costs and identical
-   hit counts and bank traffic from the simulator. *)
+   line; its contention meters count windows in an [int].  The fast-path
+   tests demand bit-identical costs and identical hit counts and bank
+   traffic from the simulator. *)
 
 open Numa
+
+(* The windowed leaky bucket of [Numa.Contention], with the window index
+   kept as an [int] and the idle-window count converted from it. *)
+module Contention = struct
+  type t = {
+    gb_per_s : float;
+    cap_gb_per_s : float;
+    window_ns : float;
+    cap_bytes : float;
+    mutable window : int;
+    mutable bytes : float;
+    mutable total : float;
+  }
+
+  let create ~gb_per_s ?(cap_scale = 1.) ?(window_ns = 100_000.) () =
+    let cap_gb_per_s = gb_per_s /. cap_scale in
+    {
+      gb_per_s;
+      cap_gb_per_s;
+      window_ns;
+      cap_bytes = cap_gb_per_s *. window_ns;
+      window = 0;
+      bytes = 0.;
+      total = 0.;
+    }
+
+  let roll t now_ns =
+    let w = int_of_float (now_ns /. t.window_ns) in
+    if w > t.window then begin
+      let carry = Float.max 0. (t.bytes -. t.cap_bytes) in
+      let idle = float_of_int (w - t.window - 1) in
+      t.bytes <- Float.max 0. (carry -. (idle *. t.cap_bytes));
+      t.window <- w
+    end
+
+  let overflow_scale = 40.
+
+  let charge t ~now_ns ~bytes =
+    roll t now_ns;
+    let b = float_of_int bytes in
+    let over0 = Float.max 0. (t.bytes -. t.cap_bytes) in
+    t.bytes <- t.bytes +. b;
+    t.total <- t.total +. b;
+    let over1 = Float.max 0. (t.bytes -. t.cap_bytes) in
+    let u = t.bytes /. t.cap_bytes in
+    (b /. t.gb_per_s)
+    +. ((over1 -. over0) *. overflow_scale *. u /. t.cap_gb_per_s)
+
+  let service_ns t ~bytes = float_of_int bytes /. t.gb_per_s
+  let total_bytes t = t.total
+end
 
 module Cache = struct
   type t = {

@@ -87,6 +87,20 @@ let test_contention_decays () =
   Alcotest.(check (float 1e-9)) "decayed" 0.
     (Contention.utilization r ~now_ns:50_000.)
 
+(* Reading utilization must not move the meter.  A read from a clock 5
+   windows ahead must not roll it there: a later charge from a lagging
+   clock belongs in the overflowing window (40,500 ns), not in a drained
+   one (500 ns). *)
+let test_contention_utilization_is_pure () =
+  let charge_after read =
+    let r = Contention.create ~gb_per_s:1.0 ~window_ns:1000. () in
+    ignore (Contention.charge r ~now_ns:0. ~bytes:1500);
+    if read then ignore (Contention.utilization r ~now_ns:5000.);
+    Contention.charge r ~now_ns:10. ~bytes:500
+  in
+  Alcotest.(check (float 1e-9)) "overflowing window" 40_500. (charge_after false);
+  Alcotest.(check (float 1e-9)) "after a read ahead" 40_500. (charge_after true)
+
 let test_contention_total () =
   let r = Contention.create ~gb_per_s:1.0 () in
   ignore (Contention.charge r ~now_ns:0. ~bytes:100);
@@ -118,6 +132,8 @@ let suite =
       Alcotest.test_case "delivery capped at capacity" `Quick
         test_contention_caps_delivery;
       Alcotest.test_case "decay" `Quick test_contention_decays;
+      Alcotest.test_case "utilization is a pure read" `Quick
+        test_contention_utilization_is_pure;
       Alcotest.test_case "total bytes" `Quick test_contention_total;
       QCheck_alcotest.to_alcotest prop_delay_monotone;
     ] )

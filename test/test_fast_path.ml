@@ -11,7 +11,9 @@ let machine = Numa.Machines.with_scaled_caches 128 Numa.Machines.amd48
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 (* One op of a random stream: [kind] 0 = access, 1 = bulk, 2 = word read
-   (the Ctx property only); [bytes = 0] ops sit on a line boundary. *)
+   (the Ctx property only), 3 = a jump of the vproc's clock by
+   [offset / 395] contention windows, 0 to 20 (the cost-model property
+   only); [bytes = 0] ops sit on a line boundary. *)
 type op = { kind : int; vproc : int; region : int; offset : int; bytes : int }
 
 let byte_sizes = [| 0; 1; 8; 8; 8; 8; 16; 60; 64; 130 |]
@@ -27,7 +29,7 @@ let op_gen ~kinds =
           else offset
         in
         { kind; vproc; region; offset; bytes = (if kind = 2 then 8 else bytes) })
-      (quad (int_bound (kinds - 1)) (int_bound 11) (int_bound 11)
+      (quad (oneofl kinds) (int_bound 11) (int_bound 11)
          (pair (int_bound 7900) (int_bound (Array.length byte_sizes - 1)))))
 
 let print_op o =
@@ -41,47 +43,68 @@ let stream ~kinds =
 
 let n_vprocs = 12
 
+(* [Contention]'s default window. *)
+let window_ns = 100_000.
+
 (* Direct calls: the rewritten cache against the find-and-promote one,
-   with vprocs sharing nodes so their L3 and bank traffic interleave. *)
+   with vprocs sharing nodes so their L3 and bank traffic interleave, and
+   the all-float meters against the integer-window ones.  Each stream runs
+   at two capacities: at the scarcer one banks and links overflow, and the
+   clock jumps make the meters drain carried overflow across idle
+   windows. *)
 let prop_cost_model =
   QCheck.Test.make ~name:"cost model matches the reference" ~count:150
-    (stream ~kinds:2) (fun ops ->
-      let vproc_node v = v mod 3 in
-      let cm = Numa.Cost_model.create ~cap_scale:16. machine ~n_vprocs ~vproc_node in
-      let rf = Ref_cost_model.create ~cap_scale:16. machine ~n_vprocs ~vproc_node in
-      let clk = Array.make n_vprocs 0. in
+    (stream ~kinds:[ 0; 1; 3 ]) (fun ops ->
       List.for_all
-        (fun o ->
-          let v = o.vproc and addr = (o.region * 8192) + o.offset in
-          let dst_node = o.region mod 8 and now_ns = clk.(v) in
-          let call f g =
-            let a = f ~vproc:v ~dst_node ~addr ~bytes:o.bytes ~now_ns in
-            let b = g ~vproc:v ~dst_node ~addr ~bytes:o.bytes ~now_ns in
-            clk.(v) <- clk.(v) +. a;
-            same_float a b
-          in
-          (if o.kind = 0 then call (Numa.Cost_model.access cm) (Ref_cost_model.access rf)
-           else call (Numa.Cost_model.bulk cm) (Ref_cost_model.bulk rf))
-          && same_float
-               (Numa.Cost_model.l2_hit_rate cm ~vproc:v)
-               (Ref_cost_model.l2_hit_rate rf ~vproc:v)
-          && same_float
-               (Numa.Cost_model.l3_hit_rate cm ~node:(vproc_node v))
-               (Ref_cost_model.l3_hit_rate rf ~node:(vproc_node v)))
-        ops
-      && List.for_all
-           (fun node ->
-             same_float
-               (Numa.Cost_model.bank_total_bytes cm ~node)
-               (Ref_cost_model.bank_total_bytes rf ~node))
-           (List.init 8 Fun.id))
+        (fun cap_scale ->
+          let vproc_node v = v mod 3 in
+          let cm = Numa.Cost_model.create ~cap_scale machine ~n_vprocs ~vproc_node in
+          let rf = Ref_cost_model.create ~cap_scale machine ~n_vprocs ~vproc_node in
+          let clk = Array.make n_vprocs 0. and ref_clk = Array.make n_vprocs 0. in
+          List.for_all
+            (fun o ->
+              let v = o.vproc and addr = (o.region * 8192) + o.offset in
+              let dst_node = o.region mod 8 in
+              let call f g =
+                let a = f ~vproc:v ~dst_node ~addr ~bytes:o.bytes ~now_ns:clk.(v) in
+                let b =
+                  g ~vproc:v ~dst_node ~addr ~bytes:o.bytes ~now_ns:ref_clk.(v)
+                in
+                clk.(v) <- clk.(v) +. a;
+                ref_clk.(v) <- ref_clk.(v) +. b;
+                same_float a b
+              in
+              (if o.kind = 3 then begin
+                 let jump = float_of_int o.offset *. window_ns /. 395. in
+                 clk.(v) <- clk.(v) +. jump;
+                 ref_clk.(v) <- ref_clk.(v) +. jump;
+                 true
+               end
+               else if o.kind = 0 then
+                 call (Numa.Cost_model.access cm) (Ref_cost_model.access rf)
+               else call (Numa.Cost_model.bulk cm) (Ref_cost_model.bulk rf))
+              && same_float clk.(v) ref_clk.(v)
+              && same_float
+                   (Numa.Cost_model.l2_hit_rate cm ~vproc:v)
+                   (Ref_cost_model.l2_hit_rate rf ~vproc:v)
+              && same_float
+                   (Numa.Cost_model.l3_hit_rate cm ~node:(vproc_node v))
+                   (Ref_cost_model.l3_hit_rate rf ~node:(vproc_node v))
+              && List.for_all
+                   (fun node ->
+                     same_float
+                       (Numa.Cost_model.bank_total_bytes cm ~node)
+                       (Ref_cost_model.bank_total_bytes rf ~node))
+                   (List.init 8 Fun.id))
+            ops)
+        [ 16.; 4096. ])
 
 (* Through the charged accessors, where the MRU-line filter runs: every
    clock must equal the reference clock after every op.  Addresses range
    over all twelve vprocs' (mapped) local heaps. *)
 let prop_ctx =
   QCheck.Test.make ~name:"charged accesses match the reference" ~count:150
-    (stream ~kinds:3) (fun ops ->
+    (stream ~kinds:[ 0; 1; 2 ]) (fun ops ->
       let ctx =
         Ctx.create ~params:Gc_util.small_params ~cap_scale:16. ~machine ~n_vprocs
           ~policy:Sim_mem.Page_policy.Local ()

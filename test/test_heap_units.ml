@@ -160,6 +160,61 @@ let test_gc_stats_roundtrip () =
   Alcotest.(check int) "promoted" 100 t.Gc_stats.promoted_bytes;
   Alcotest.(check (float 1e-9)) "ns" 5. t.Gc_stats.gc_ns
 
+(* Collector time reaches [Gc_stats.gc_ns] when a vproc leaves collector
+   context, before the collection's observer fires: at the observer,
+   every vproc's [gc_ns] already equals what the caller reads after the
+   collector returns.  A top-level minor or major adds the pauses of its
+   spans: every nanosecond of them was charged in collector context. *)
+let test_gc_ns_published_at_exit () =
+  let ctx = Gc_util.mk_ctx () in
+  let m = Ctx.mutator ctx 0 in
+  let gc_ns () =
+    Array.map (fun (m : Ctx.mutator) -> m.Ctx.stats.Gc_stats.gc_ns) ctx.Ctx.muts
+  in
+  let seen = ref [] in
+  Ctx.set_on_collection ctx (Some (fun _ _ -> seen := gc_ns () :: !seen));
+  Gc_trace.enable ctx.Ctx.trace;
+  let collect name run =
+    Array.iter
+      (fun (m : Ctx.mutator) ->
+        ignore (Roots.add m.Ctx.roots (Gc_util.build_list ctx m [ 1; 2; 3 ])))
+      ctx.Ctx.muts;
+    seen := [];
+    Gc_trace.clear ctx.Ctx.trace;
+    let before = gc_ns () in
+    run ();
+    let after = gc_ns () in
+    (match !seen with
+    | [ at_observer ] ->
+        Array.iteri
+          (fun v ns ->
+            Alcotest.(check (float 0.))
+              (Printf.sprintf "%s: vproc %d at the observer" name v)
+              after.(v) ns)
+          at_observer
+    | l -> Alcotest.failf "%s: the observer fired %d times" name (List.length l));
+    after.(0) -. before.(0)
+  in
+  let paused name grew =
+    let pauses =
+      List.fold_left
+        (fun acc (e : Gc_trace.event) ->
+          if e.Gc_trace.vproc <> 0 then acc
+          else acc +. (e.Gc_trace.t_end_ns -. e.Gc_trace.t_start_ns))
+        0. (Gc_trace.events ctx.Ctx.trace)
+    in
+    Alcotest.(check bool) (name ^ ": paused") true (pauses > 0.);
+    Alcotest.(check (float (1e-9 *. pauses)))
+      (name ^ ": grew by the pauses") pauses grew
+  in
+  paused "minor" (collect "minor" (fun () -> Minor_gc.run ctx m));
+  paused "major" (collect "major" (fun () -> Major_gc.run ctx m));
+  ignore
+    (collect "promotion" (fun () ->
+         ignore (Promote.value ctx m (Gc_util.build_list ctx m [ 4; 5 ]))));
+  ignore (collect "STW global" (fun () -> Global_gc.run ctx));
+  ignore (collect "concurrent global" (fun () -> Concurrent_gc.run ctx))
+
 (* --- Roots --------------------------------------------------------- *)
 
 let test_roots_add_remove () =
@@ -222,6 +277,8 @@ let suite =
       Alcotest.test_case "proxy layout" `Quick test_proxy_layout;
       Alcotest.test_case "params validation" `Quick test_params_validate;
       Alcotest.test_case "gc stats" `Quick test_gc_stats_roundtrip;
+      Alcotest.test_case "gc time published at collector exit" `Quick
+        test_gc_ns_published_at_exit;
       Alcotest.test_case "roots add/remove" `Quick test_roots_add_remove;
       Alcotest.test_case "roots protect on exception" `Quick
         test_roots_protect_exception;
