@@ -81,52 +81,6 @@ let print_attribution r =
       (100 * attributed / total)
       total
 
-(* Pair Coll_begin/Coll_end per vproc (per-kind stacks handle the real
-   nesting: a major's prerequisite minor, entry collections inside a
-   global).  An end whose begin was overwritten, or a begin whose end is
-   past the dump, is an orphan and is skipped. *)
-let reconstruct r =
-  let tr = Trace.create () in
-  Trace.enable tr;
-  let orphans = ref 0 in
-  let recorded = ref [] in
-  for v = 0 to Obs.Recorder.n_vprocs r - 1 do
-    let pending = Array.make n_kinds [] in
-    List.iter
-      (fun (_, t_ns, ev) ->
-        match ev with
-        | Event.Coll_begin { kind; _ } ->
-            let k = Event.kind_code kind in
-            pending.(k) <- t_ns :: pending.(k)
-        | Event.Coll_end { kind; cause; bytes } -> (
-            let k = Event.kind_code kind in
-            match pending.(k) with
-            | t0 :: rest ->
-                pending.(k) <- rest;
-                recorded :=
-                  {
-                    Trace.vproc = v;
-                    kind;
-                    cause;
-                    node = Obs.Recorder.node_of_vproc r v;
-                    t_start_ns = t0;
-                    t_end_ns = t_ns;
-                    bytes;
-                  }
-                  :: !recorded
-            | [] -> incr orphans)
-        | _ -> ())
-      (Obs.Recorder.events r ~vproc:v);
-    Array.iter (fun l -> orphans := !orphans + List.length l) pending
-  done;
-  let records =
-    List.sort
-      (fun a b -> compare a.Trace.t_start_ns b.Trace.t_start_ns)
-      !recorded
-  in
-  List.iter (Trace.record tr) records;
-  (tr, !orphans, records)
-
 let print_counters r =
   let attempts = ref 0
   and successes = ref 0
@@ -268,51 +222,8 @@ let print_conc_parallel r =
 
 (* --- Request latencies (server workload) --------------------------- *)
 
-(* Exact percentile over a sorted array: the smallest sample with at
-   least [p] of the mass at or below it (offline, so no bucketing). *)
-let pctl sorted p =
-  let n = Array.length sorted in
-  sorted.(max 0 (min (n - 1) (int_of_float (Float.ceil (p *. float_of_int n)) - 1)))
-
-(* Completion events carry end time and latency, i.e. the request's
-   in-flight window [t_done - latency, t_done]. *)
-let request_windows r =
-  let ws = ref [] in
-  for v = 0 to Obs.Recorder.n_vprocs r - 1 do
-    List.iter
-      (fun (_, t_ns, ev) ->
-        match ev with
-        | Event.Req_done { latency_ns } ->
-            ws := (t_ns -. float_of_int latency_ns, t_ns) :: !ws
-        | _ -> ())
-      (Obs.Recorder.events r ~vproc:v)
-  done;
-  !ws
-
-(* Share of [lo,hi] covered by the union of the collections' intervals —
-   pauses on any vproc count, since a parked request fiber can be held
-   up by whichever vproc its session or partner is running on. *)
-let gc_overlap_share colls (lo, hi) =
-  let clipped =
-    List.filter_map
-      (fun c ->
-        let s = Float.max lo c.Trace.t_start_ns
-        and e = Float.min hi c.Trace.t_end_ns in
-        if e > s then Some (s, e) else None)
-      colls
-  in
-  let sorted = List.sort compare clipped in
-  let covered, _ =
-    List.fold_left
-      (fun (acc, cursor) (s, e) ->
-        let s = Float.max s cursor in
-        if e > s then (acc +. (e -. s), e) else (acc, cursor))
-      (0., lo) sorted
-  in
-  if hi > lo then covered /. (hi -. lo) else 0.
-
-let print_request_latencies r colls =
-  let ws = request_windows r in
+let print_request_latencies r tr =
+  let ws = Trace.request_windows r in
   let n = List.length ws in
   if n = 0 then
     print_string "request latencies: none recorded (not a server run)\n"
@@ -326,27 +237,20 @@ let print_request_latencies r colls =
       "request latencies: %d requests\n\
       \  p50 %8.1fus  p90 %8.1fus  p99 %8.1fus  p99.9 %8.1fus  max %8.1fus\n"
       n
-      (us (pctl lats 0.50))
-      (us (pctl lats 0.90))
-      (us (pctl lats 0.99))
-      (us (pctl lats 0.999))
+      (us (Trace.percentile lats 0.50))
+      (us (Trace.percentile lats 0.90))
+      (us (Trace.percentile lats 0.99))
+      (us (Trace.percentile lats 0.999))
       (us lats.(Array.length lats - 1));
-    (* Slow tail: everything at or above p99 (at least one request). *)
-    let thresh = pctl lats 0.99 in
-    let slow = List.filter (fun (lo, hi) -> hi -. lo >= thresh) ws in
+    let slow = Trace.slow_requests ws in
     let n_slow = List.length slow in
     let slow_lat = List.fold_left (fun a (lo, hi) -> a +. (hi -. lo)) 0. slow in
-    let slow_gc =
-      List.fold_left
-        (fun a w -> a +. (gc_overlap_share colls w *. (snd w -. fst w)))
-        0. slow
-    in
     Printf.printf
       "slow requests (latency >= p99): %d, mean %.1fus, %.0f%% of their \
        in-flight time overlaps GC\n"
       n_slow
       (us (slow_lat /. float_of_int (max 1 n_slow)))
-      (100. *. slow_gc /. Float.max 1. slow_lat);
+      (100. *. Trace.gc_overlap_share tr slow);
     (* Which collections those windows overlap, by kind x cause: the
        bridge from a latency SLO miss back to its GC origin. *)
     let counts = Array.make_matrix n_kinds Cause.n_codes 0 in
@@ -367,7 +271,7 @@ let print_request_latencies r colls =
           counts.(k).(cc) <- counts.(k).(cc) + 1;
           overlap_ns.(k).(cc) <- overlap_ns.(k).(cc) +. touched
         end)
-      colls;
+      (Trace.events tr);
     let any = ref false in
     Array.iteri
       (fun k (_, name) ->
@@ -574,14 +478,8 @@ let print_cycles r =
     (* Link the slow tail back to the cycle (and dominant phase) each
        request overlapped — the per-cycle refinement of the kind x cause
        table above. *)
-    let ws = request_windows r in
-    if ws <> [] then begin
-      let lats = Array.of_list (List.map (fun (lo, hi) -> hi -. lo) ws) in
-      Array.sort compare lats;
-      let thresh = pctl lats 0.99 in
-      let slow =
-        List.sort compare (List.filter (fun (lo, hi) -> hi -. lo >= thresh) ws)
-      in
+    let slow = List.sort compare (Trace.slow_requests (Trace.request_windows r)) in
+    if slow <> [] then begin
       let linked = ref 0 in
       let lines = Buffer.create 256 in
       List.iter
@@ -688,7 +586,7 @@ let main dump_path chrome tail partial cycles =
       print_newline ();
       print_attribution r;
       print_newline ();
-      let tr, orphans, colls = reconstruct r in
+      let tr, orphans = Trace.of_recorder r in
       if orphans > 0 then
         Printf.printf
           "(%d begin/end orphans skipped: pair lost to ring overwrite or dump \
@@ -701,7 +599,7 @@ let main dump_path chrome tail partial cycles =
       print_conc_phases r;
       print_conc_parallel r;
       print_newline ();
-      print_request_latencies r colls;
+      print_request_latencies r tr;
       print_newline ();
       if cycles then begin
         print_cycles r;

@@ -165,3 +165,98 @@ let summary t =
       vprocs
   end;
   Buffer.contents buf
+
+(* --- Offline analysis of a flight recorder ------------------------ *)
+
+let of_recorder r =
+  let n_kinds = Array.length Obs.Event.kinds in
+  let orphans = ref 0 in
+  let recorded = ref [] in
+  for v = 0 to Obs.Recorder.n_vprocs r - 1 do
+    let pending = Array.make n_kinds [] in
+    List.iter
+      (fun (_, t_ns, ev) ->
+        match ev with
+        | Obs.Event.Coll_begin { kind; _ } ->
+            let k = Obs.Event.kind_code kind in
+            pending.(k) <- t_ns :: pending.(k)
+        | Obs.Event.Coll_end { kind; cause; bytes } -> (
+            let k = Obs.Event.kind_code kind in
+            match pending.(k) with
+            | t0 :: rest ->
+                pending.(k) <- rest;
+                recorded :=
+                  {
+                    vproc = v;
+                    kind;
+                    cause;
+                    node = Obs.Recorder.node_of_vproc r v;
+                    t_start_ns = t0;
+                    t_end_ns = t_ns;
+                    bytes;
+                  }
+                  :: !recorded
+            | [] -> incr orphans)
+        | _ -> ())
+      (Obs.Recorder.events r ~vproc:v);
+    Array.iter (fun l -> orphans := !orphans + List.length l) pending
+  done;
+  let by_start =
+    List.sort (fun a b -> compare a.t_start_ns b.t_start_ns) !recorded
+  in
+  ({ events = List.rev by_start; on = true }, !orphans)
+
+let request_windows r =
+  let ws = ref [] in
+  for v = 0 to Obs.Recorder.n_vprocs r - 1 do
+    List.iter
+      (fun (_, t_ns, ev) ->
+        match ev with
+        | Obs.Event.Req_done { latency_ns } ->
+            ws := (t_ns -. float_of_int latency_ns, t_ns) :: !ws
+        | _ -> ())
+      (Obs.Recorder.events r ~vproc:v)
+  done;
+  !ws
+
+let percentile sorted p =
+  let n = Array.length sorted in
+  let rank = int_of_float (Float.ceil (p *. float_of_int n)) in
+  sorted.(max 0 (min (n - 1) (rank - 1)))
+
+let slow_requests ws =
+  let lats = Array.of_list (List.map (fun (lo, hi) -> hi -. lo) ws) in
+  Array.sort compare lats;
+  if Array.length lats = 0 then []
+  else
+    let thresh = percentile lats 0.99 in
+    List.filter (fun (lo, hi) -> hi -. lo >= thresh) ws
+
+(* Share of [lo,hi] covered by the union of the collections' intervals. *)
+let overlap_share evs (lo, hi) =
+  let clipped =
+    List.filter_map
+      (fun c ->
+        let s = Float.max lo c.t_start_ns and e = Float.min hi c.t_end_ns in
+        if e > s then Some (s, e) else None)
+      evs
+  in
+  let covered, _ =
+    List.fold_left
+      (fun (acc, cursor) (s, e) ->
+        let s = Float.max s cursor in
+        if e > s then (acc +. (e -. s), e) else (acc, cursor))
+      (0., lo)
+      (List.sort compare clipped)
+  in
+  if hi > lo then covered /. (hi -. lo) else 0.
+
+let gc_overlap_share t ws =
+  let evs = events t in
+  let lat = List.fold_left (fun a (lo, hi) -> a +. (hi -. lo)) 0. ws in
+  let gc =
+    List.fold_left
+      (fun a w -> a +. (overlap_share evs w *. (snd w -. fst w)))
+      0. ws
+  in
+  gc /. Float.max 1. lat

@@ -61,3 +61,35 @@ val to_chrome_json : t -> string
 val summary : t -> string
 (** Event counts and bytes by kind, followed by a per-vproc breakdown
     (counts + bytes per kind for each vproc that recorded events). *)
+
+(** {2 Offline analysis of a flight recorder}
+
+    [gcprof] and the BENCH_7 server sweep read the slow request tail
+    from the recorder's rings with these. *)
+
+val of_recorder : Obs.Recorder.t -> t * int
+(** The collections in the recorder's rings, as an enabled trace in
+    start-time order.  Each vproc's [Coll_begin]/[Coll_end] events pair
+    up per kind (an end closes its kind's latest open begin), so a
+    major's nested minor and a global's entry collections pair
+    correctly.  The [int] counts the orphans skipped: an end whose
+    begin was overwritten, or a begin whose end is past the dump
+    point. *)
+
+val request_windows : Obs.Recorder.t -> (float * float) list
+(** Every recorded request's in-flight window [(t_done - latency,
+    t_done)], from its [Req_done] event. *)
+
+val percentile : float array -> float -> float
+(** [percentile sorted p] is the smallest sample with at least [p] of
+    the mass at or below it.  [sorted] is ascending and non-empty. *)
+
+val slow_requests : (float * float) list -> (float * float) list
+(** The windows whose latency is at or above the p99 (at least one
+    when the list is non-empty), in input order. *)
+
+val gc_overlap_share : t -> (float * float) list -> float
+(** The share of the windows' summed length that the union of the
+    trace's collections covers.  Collections on any vproc count, since
+    a parked request can be held up by whichever vproc its partner runs
+    on. *)

@@ -445,6 +445,59 @@ let test_disabled_recorder_is_silent () =
   done;
   Alcotest.(check int) "nothing recorded when disabled" 0 !total
 
+(* Gc_trace's offline analysis, the one gcprof and the BENCH_7 sweep
+   share, over a hand-built recorder.  vproc 0 nests a minor inside a
+   major and starts with a Coll_end whose begin the ring lost; vproc
+   1's collections overlap vproc 0's; the dump ends inside a global.
+   Two requests tie for the slowest (32 ns each) and collections cover
+   30 and 20 ns of them, so the slow tail is 50/64 inside collections. *)
+let test_slow_tail_analysis () =
+  let r =
+    Obs.Recorder.create ~n_vprocs:2 ~n_nodes:2 ~node_of_vproc:Fun.id ()
+  in
+  let begin_ kind = Event.Coll_begin { kind; cause = Cause.Nursery_full } in
+  let end_ kind = Event.Coll_end { kind; cause = Cause.Nursery_full; bytes = 8 } in
+  let req latency_ns = Event.Req_done { latency_ns } in
+  List.iter
+    (fun (v, t, ev) -> Obs.Recorder.record r ~vproc:v ~t_ns:t ev)
+    [ (0, 5., end_ Event.Minor);
+      (0, 10., begin_ Event.Major);
+      (0, 12., begin_ Event.Minor);
+      (0, 15., end_ Event.Minor);
+      (0, 30., end_ Event.Major);
+      (0, 40., req 32);
+      (0, 75., begin_ Event.Major);
+      (0, 90., end_ Event.Major);
+      (0, 100., begin_ Event.Global);
+      (1, 20., req 10);
+      (1, 25., begin_ Event.Promotion);
+      (1, 50., end_ Event.Promotion);
+      (1, 55., req 5);
+      (1, 70., begin_ Event.Minor);
+      (1, 80., end_ Event.Minor);
+      (1, 96., req 32) ];
+  let tr, orphans = Gc_trace.of_recorder r in
+  Alcotest.(check int) "orphan end and unfinished begin" 2 orphans;
+  Alcotest.(check (list (pair int (pair string (pair (float 0.) (float 0.))))))
+    "pairs per vproc and kind, in start order"
+    [ (0, ("major", (10., 30.)));
+      (0, ("minor", (12., 15.)));
+      (1, ("promotion", (25., 50.)));
+      (1, ("minor", (70., 80.)));
+      (0, ("major", (75., 90.))) ]
+    (List.map
+       (fun e ->
+         Gc_trace.
+           ( e.vproc,
+             (Event.kind_to_string e.kind, (e.t_start_ns, e.t_end_ns)) ))
+       (Gc_trace.events tr));
+  let slow = Gc_trace.slow_requests (Gc_trace.request_windows r) in
+  Alcotest.(check (list (pair (float 0.) (float 0.))))
+    "the two slowest requests" [ (8., 40.); (64., 96.) ]
+    (List.sort compare slow);
+  Alcotest.(check (float 0.)) "slow-tail GC share" (50. /. 64.)
+    (Gc_trace.gc_overlap_share tr slow)
+
 let suite =
   ( "obs",
     [
@@ -464,4 +517,6 @@ let suite =
         test_failed_steals_counted;
       Alcotest.test_case "disabled recorder records nothing" `Quick
         test_disabled_recorder_is_silent;
+      Alcotest.test_case "slow-tail analysis of a recorder" `Quick
+        test_slow_tail_analysis;
     ] )

@@ -2,14 +2,14 @@
    the snapshot shape, and covers every collection kind — or, with
    --chrome, that a Chrome trace-event export is well-formed and every
    collection event carries a valid cause and NUMA node in its args.
-   --server and --global gate the BENCH_7/BENCH_8 artifacts; --compare
-   diffs two exports of the same bench as a regression gate;
-   --openmetrics validates a telemetry stream of OpenMetrics exposition
-   blocks (msim --telemetry).
+   --promote, --server and --global judge the gates of the
+   BENCH_6/BENCH_7/BENCH_8 artifacts; --compare fails when any leaf of
+   two exports of the same bench differs; --openmetrics validates a
+   telemetry stream of OpenMetrics exposition blocks (msim --telemetry).
 
    Usage: validate_metrics.exe FILE
-            [--require-all-kinds | --chrome | --openmetrics | --server
-             | --global | --compare BASELINE [--tolerance T]] *)
+            [--require-all-kinds | --chrome | --openmetrics | --promote
+             | --server | --global | --compare BASELINE] *)
 
 open Manticore_gc
 module J = Metrics.Json
@@ -296,10 +296,73 @@ let validate_openmetrics path body =
                  non-decreasing)\n"
     path (List.length blocks) !n_samples
 
+(* A metrics snapshot export: it parses, has at least one vproc, and
+   the exporter round-trips it. *)
+let valid_snapshot body =
+  match Metrics.snapshot_of_json body with
+  | Error m -> Error m
+  | Ok snap when snap.Metrics.vprocs = [] -> Error "snapshot has no vprocs"
+  | Ok snap -> (
+      match Metrics.snapshot_of_json (Metrics.snapshot_to_json snap) with
+      | Ok snap2 when snap2 = snap -> Ok snap
+      | _ -> Error "snapshot does not round-trip")
+
+(* BENCH_6.json: the promotion write buffer, batched vs singleton.
+   The snapshot part must be a valid metrics export; every scenario
+   must cut both the promotion-cycle count and the total promotion
+   pause by at least 2x, and each recorded reduction must be the ratio
+   of its singleton and batched numbers. *)
+let validate_promote path body =
+  let fail fmt =
+    Printf.ksprintf
+      (fun m ->
+        Printf.eprintf "%s: INVALID promote bench: %s\n" path m;
+        exit 1)
+      fmt
+  in
+  (match valid_snapshot body with
+  | Error m -> fail "snapshot part: %s" m
+  | Ok _ -> ());
+  match J.parse body with
+  | Error m -> fail "%s" m
+  | Ok j ->
+      (match J.member "bench" j with
+      | Some (J.Str "promote") -> ()
+      | _ -> fail "bench field missing or not \"promote\"");
+      let scenarios =
+        match J.member "scenarios" j with
+        | Some (J.Obj ((_ :: _) as ss)) -> ss
+        | _ -> fail "scenarios missing or empty"
+      in
+      List.iter
+        (fun (name, sc) ->
+          let num k =
+            match J.member k sc with
+            | Some (J.Num v) -> v
+            | _ -> fail "scenario %s without numeric %s" name k
+          in
+          let reduction key what =
+            let r = num key in
+            let expect = num ("singleton_" ^ what) /. num ("batched_" ^ what) in
+            if Float.abs (r -. expect) > 1e-6 *. r then
+              fail "scenario %s: %s is not singleton_%s / batched_%s" name key
+                what what;
+            if r < 2. then
+              fail "scenario %s: %s only %.2fx, need >= 2x" name key r
+          in
+          reduction "cycle_reduction" "cycles";
+          reduction "pause_reduction" "pause_ns")
+        scenarios;
+      Printf.printf "%s: OK (promote bench, %d scenarios, >= 2x cycle and \
+                     pause reduction)\n"
+        path (List.length scenarios)
+
 (* BENCH_7.json: a --server rate sweep.  The snapshot part must be a
    valid metrics export with request latencies recorded; the sweep part
-   must have ordered percentiles per rate and a GC-bound rate — the
-   regression gate for the latency-SLO experiment. *)
+   must have ordered percentiles per rate, a GC-bound rate that matches
+   the recorded shares, and the SLO attained at the lightest rate and
+   burning at the heaviest — the regression gates for the latency-SLO
+   experiment. *)
 let validate_server path body =
   let fail fmt =
     Printf.ksprintf
@@ -308,7 +371,7 @@ let validate_server path body =
         exit 1)
       fmt
   in
-  (match Metrics.snapshot_of_json body with
+  (match valid_snapshot body with
   | Error m -> fail "snapshot part: %s" m
   | Ok snap ->
       let requests =
@@ -350,9 +413,18 @@ let validate_server path body =
           if wr < 0. || ov < 0. || ov > wr then
             fail "rate %s: inconsistent SLO window counts" name)
         rates;
-      (match J.member "gc_bound_rate" j with
-      | Some (J.Num r) when r > 0. -> ()
-      | _ -> fail "no GC-bound rate: the sweep never stressed the collector");
+      (* The GC-bound rate is the first swept rate whose slow tail
+         spends at least half its in-flight time under a collection. *)
+      let bound =
+        List.find_opt (fun (_, r) -> num r "gc_overlap_share_slow" >= 0.5) rates
+      in
+      (match (bound, J.member "gc_bound_rate" j) with
+      | None, _ -> fail "no GC-bound rate: the sweep never stressed the collector"
+      | Some (_, r), Some (J.Num b) when b = num r "rate_rps" -> ()
+      | Some (_, r), _ ->
+          fail "gc_bound_rate is not %.0f, the first rate with \
+                gc_overlap_share_slow >= 0.5"
+            (num r "rate_rps"));
       (* The declared objective and its gate: attained at the lightest
          swept rate, burning at the heaviest. *)
       (match J.member "slo" j with
@@ -422,7 +494,7 @@ let validate_global path body =
            global pauses recorded. *)
         (match J.member "metrics" o with
         | Some snap_json -> (
-            match Metrics.snapshot_of_json (J.to_string snap_json) with
+            match valid_snapshot (J.to_string snap_json) with
             | Error m -> fail "%s metrics snapshot: %s" name m
             | Ok snap ->
                 let globals =
@@ -477,13 +549,12 @@ let validate_global path body =
          barrier p99.9 %.1fx below serial)\n"
         path ratio b_ratio
 
-(* --compare BASELINE: walk both JSON trees in lockstep and fail when a
-   shared numeric leaf drifts by more than the tolerance (relative, with
-   an absolute floor for near-zero values) or the shapes diverge.  The
-   simulator is deterministic, so a regenerated bench artifact should
-   match its committed baseline exactly; the tolerance only leaves room
-   for intentional cost-model tweaks that are too small to care about. *)
-let validate_compare path body base_path ~tolerance =
+(* --compare BASELINE: walk both JSON trees in lockstep and fail when
+   the shapes diverge or any shared numeric leaf differs at all.  The
+   simulator is deterministic, so a regenerated bench artifact matches
+   its committed baseline exactly; the report lists the leaves that
+   drifted furthest, by relative size. *)
+let validate_compare path body base_path =
   let fail fmt =
     Printf.ksprintf
       (fun m ->
@@ -508,10 +579,10 @@ let validate_compare path body base_path ~tolerance =
     match (a, b) with
     | J.Num x, J.Num y ->
         incr leaves;
-        let denom = Float.max (Float.abs y) 1e-9 in
-        let rel = Float.abs (x -. y) /. denom in
-        if rel > tolerance && Float.abs (x -. y) > 1e-6 then
-          drifted := (ctx, y, x, rel) :: !drifted
+        if x <> y then
+          drifted :=
+            (ctx, y, x, Float.abs (x -. y) /. Float.max (Float.abs y) 1e-9)
+            :: !drifted
     | J.Str x, J.Str y ->
         if x <> y then fail "%s: %S became %S" ctx y x
     | J.Bool x, J.Bool y ->
@@ -548,13 +619,12 @@ let validate_compare path body base_path ~tolerance =
       List.iteri
         (fun i (ctx, was, now, rel) ->
           if i < 10 then
-            Printf.eprintf "  %s: %.6g -> %.6g (%.1f%% drift)\n" ctx was now
+            Printf.eprintf "  %s: %.17g -> %.17g (%.3g%% drift)\n" ctx was now
               (100. *. rel))
         ds;
-      fail "%d of %d numeric leaves drifted more than %.0f%%"
-        (List.length ds) !leaves (100. *. tolerance));
-  Printf.printf "%s: OK (matches %s on %d numeric leaves within %.0f%%)\n"
-    path base_path !leaves (100. *. tolerance)
+      fail "%d of %d numeric leaves drifted" (List.length ds) !leaves);
+  Printf.printf "%s: OK (matches %s exactly on %d numeric leaves)\n" path
+    base_path !leaves
 
 let () =
   let path, mode =
@@ -563,20 +633,15 @@ let () =
     | [| _; p; "--require-all-kinds" |] -> (p, `Metrics true)
     | [| _; p; "--chrome" |] -> (p, `Chrome)
     | [| _; p; "--openmetrics" |] -> (p, `Openmetrics)
+    | [| _; p; "--promote" |] -> (p, `Promote)
     | [| _; p; "--server" |] -> (p, `Server)
     | [| _; p; "--global" |] -> (p, `Global)
-    | [| _; p; "--compare"; b |] -> (p, `Compare (b, 0.10))
-    | [| _; p; "--compare"; b; "--tolerance"; t |] -> (
-        match float_of_string_opt t with
-        | Some t when t >= 0. -> (p, `Compare (b, t))
-        | _ ->
-            prerr_endline "invalid --tolerance value";
-            exit 2)
+    | [| _; p; "--compare"; b |] -> (p, `Compare b)
     | _ ->
         prerr_endline
           "usage: validate_metrics.exe FILE [--require-all-kinds | --chrome \
-           | --openmetrics | --server | --global | --compare BASELINE \
-           [--tolerance T]]";
+           | --openmetrics | --promote | --server | --global | --compare \
+           BASELINE]";
         exit 2
   in
   let body =
@@ -591,26 +656,17 @@ let () =
   match mode with
   | `Chrome -> validate_chrome path body
   | `Openmetrics -> validate_openmetrics path body
+  | `Promote -> validate_promote path body
   | `Server -> validate_server path body
   | `Global -> validate_global path body
-  | `Compare (base, tolerance) -> validate_compare path body base ~tolerance
+  | `Compare base -> validate_compare path body base
   | `Metrics require_all -> (
-  match Metrics.snapshot_of_json body with
+  match valid_snapshot body with
   | Error m ->
       Printf.eprintf "%s: INVALID metrics JSON: %s\n" path m;
       exit 1
   | Ok snap ->
       let n = List.length snap.Metrics.vprocs in
-      if n = 0 then begin
-        Printf.eprintf "%s: snapshot has no vprocs\n" path;
-        exit 1
-      end;
-      (* The exporter must round-trip its own output. *)
-      (match Metrics.snapshot_of_json (Metrics.snapshot_to_json snap) with
-      | Ok snap2 when snap2 = snap -> ()
-      | _ ->
-          Printf.eprintf "%s: snapshot does not round-trip\n" path;
-          exit 1);
       let count kind =
         List.fold_left
           (fun acc vs ->
