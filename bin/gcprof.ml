@@ -117,7 +117,7 @@ let print_counters r =
     !acquires !fresh (!acquires - !fresh) !releases;
   Printf.printf "global-GC phase markers: %d\n" !phases;
   Printf.printf "alloc samples: %d (1 in %d, ~%d bytes sampled)\n" !samples
-    (Obs.Recorder.sample_every r)
+    Obs.Recorder.sample_every
     !sampled_bytes
 
 (* --- Concurrent-collection phase attribution ------------------------ *)

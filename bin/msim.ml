@@ -3,6 +3,9 @@
 
 open Cmdliner
 
+let machine_names =
+  String.concat " | " (List.map (fun m -> m.Numa.Topology.name) Numa.Machines.all)
+
 let write_file path s =
   let oc = open_out path in
   output_string oc s;
@@ -25,8 +28,7 @@ let run name machine_name threads policy_str global_mode_str global_budget
     match Numa.Machines.by_name machine_name with
     | Some m -> m
     | None ->
-        Printf.eprintf "unknown machine %S (amd48 | intel32 | tiny4)\n"
-          machine_name;
+        Printf.eprintf "unknown machine %S (%s)\n" machine_name machine_names;
         exit 1
   in
   let policy =
@@ -50,6 +52,13 @@ let run name machine_name threads policy_str global_mode_str global_budget
       machine_name cores;
     exit 1
   end;
+  List.iter
+    (fun (flag, k) ->
+      if k < 1 then begin
+        Printf.eprintf "%s %d out of range (must be at least 1)\n" flag k;
+        exit 1
+      end)
+    [ ("--cache-scale", cache_scale); ("--bw-scale", bw_scale) ];
   let base = Harness.Run_config.default ~machine ~n_vprocs:threads in
   let cfg =
     {
@@ -127,12 +136,12 @@ let name_arg =
     required
     & pos 0 (some string) None
     & info [] ~docv:"BENCHMARK"
-        ~doc:
-          "One of dmm, raytracer, quicksort, smvm, barnes-hut, synthetic, \
-           server.")
+        ~doc:("One of " ^ String.concat ", " Workloads.Registry.names ^ "."))
 
 let machine_arg =
-  Arg.(value & opt string "amd48" & info [ "m"; "machine" ] ~doc:"amd48 | intel32 | tiny4.")
+  Arg.(
+    value & opt string "amd48"
+    & info [ "m"; "machine" ] ~doc:(machine_names ^ "."))
 
 let threads_arg =
   Arg.(value & opt int 8 & info [ "t"; "threads" ] ~doc:"Number of vprocs.")

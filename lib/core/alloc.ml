@@ -26,7 +26,7 @@ let collect_for_space ctx (m : Ctx.mutator) (fields : Value.t array) =
   |> ignore
 
 let charge_init ctx m ~addr ~bytes =
-  Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.alloc_cycles;
+  Ctx.charge_work ctx m ~cycles:Params.alloc_cycles;
   Ctx.bulk_touch ctx m ~addr ~bytes;
   m.Ctx.stats.Gc_stats.alloc_bytes <- m.Ctx.stats.Gc_stats.alloc_bytes + bytes;
   Obs.Recorder.sample_alloc ctx.Ctx.obs ~vproc:m.Ctx.id ~t_ns:m.Ctx.now_ns

@@ -34,9 +34,5 @@ val init_raw_word : Ctx.t -> Ctx.mutator -> Value.t -> int -> int64 -> unit
 
 val init_float : Ctx.t -> Ctx.mutator -> Value.t -> int -> float -> unit
 
-val maybe_safe_point : Ctx.t -> Ctx.mutator -> unit
-(** Enter the global-collection safe point if one is pending; the
-    scheduler also calls this at suspension points. *)
-
 val max_local_bytes : Ctx.t -> int
 (** Allocations above this size bypass the nursery. *)

@@ -90,7 +90,7 @@ let one phase d = [ (phase, d) ]
 
 let handshake ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
   slice ctx st m ~phases:(one Obs.Event.Handshake) @@ fun () ->
-  Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.handshake_cycles;
+  Ctx.charge_work ctx m ~cycles:Params.handshake_cycles;
   (* Run this vproc's local collections first, as the STW entry does —
      bounded and per-vproc, no barrier.  Survivors the major promotes
      land past [scan_ptr] in to-space chunks, so the cycle's Cheney scan
@@ -131,8 +131,7 @@ let evacuate_slice ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
             then begin
               let t = m.Ctx.now_ns in
               Hashtbl.replace ev.Ctx.ev_claims c.Chunk.id m.Ctx.id;
-              Ctx.charge_work ctx m
-                ~cycles:ctx.Ctx.params.Params.chunk_local_sync_cycles;
+              Ctx.charge_work ctx m ~cycles:Params.chunk_local_sync_cycles;
               claim_ns := !claim_ns +. (m.Ctx.now_ns -. t)
             end;
             while !budget > 0 && Global_cycle.chunk_pending c do
@@ -217,7 +216,7 @@ let max_reclean_rounds = 3
 
 let reclean_slice ctx (st : Ctx.conc_state) (m : Ctx.mutator) =
   slice ctx st m ~phases:(one Obs.Event.Handshake) @@ fun () ->
-  Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.handshake_cycles;
+  Ctx.charge_work ctx m ~cycles:Params.handshake_cycles;
   Global_cycle.forward_roots ctx st.Ctx.cg_evac m;
   st.Ctx.cg_reclean.(m.Ctx.id) <- st.Ctx.cg_reclean.(m.Ctx.id) + 1;
   st.Ctx.cg_hs_taints.(m.Ctx.id) <- st.Ctx.cg_taints.(m.Ctx.id)
@@ -290,7 +289,7 @@ let entry_round ctx (st : Ctx.conc_state) ~lead ~member =
   Global_cycle.barrier ctx ~cause ~member
     ~on_sync:(record_round ctx st ~lead ~member ~exit:false)
     (fun m ->
-      Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.barrier_cycles;
+      Ctx.charge_work ctx m ~cycles:Params.barrier_cycles;
       Ctx.set_in_gc m true)
 
 (* Rescan: with the dirty vprocs stopped, one pass suffices — the
@@ -416,7 +415,7 @@ let start ?(cause = Obs.Gc_cause.Forced) ctx =
     slice ctx st m ~phases:(one Obs.Event.Mark) @@ fun () ->
     Ctx.charge_work ctx m
       ~cycles:
-        (ctx.Ctx.params.Params.chunk_local_sync_cycles
+        (Params.chunk_local_sync_cycles
         +. (4. *. float_of_int (List.length ev.Ctx.ev_from)))
   end
 

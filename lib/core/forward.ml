@@ -41,8 +41,7 @@ let global_dest ctx m ~on_copy =
                forwarded itself (see [Alloc.alloc_global]). *)
             (if ctx.Ctx.conc <> None then
                ignore (Global_heap.mark_large ctx.Ctx.global addr));
-            Ctx.charge_work ctx m
-              ~cycles:ctx.Ctx.params.Params.chunk_global_sync_cycles;
+            Ctx.charge_work ctx m ~cycles:Params.chunk_global_sync_cycles;
             if
               (not ctx.Ctx.global_gc_pending)
               && Global_heap.in_use_bytes ctx.Ctx.global
@@ -53,8 +52,8 @@ let global_dest ctx m ~on_copy =
               ~fresh:(provenance = `Fresh);
             let cycles =
               match provenance with
-              | `Reused -> ctx.Ctx.params.Params.chunk_local_sync_cycles
-              | `Fresh -> ctx.Ctx.params.Params.chunk_global_sync_cycles
+              | `Reused -> Params.chunk_local_sync_cycles
+              | `Fresh -> Params.chunk_global_sync_cycles
             in
             Ctx.charge_work ctx m ~cycles;
             if
@@ -65,8 +64,6 @@ let global_dest ctx m ~on_copy =
         addr);
     on_copy;
   }
-
-let trace = Sys.getenv_opt "MANTICORE_TRACE_EVAC" <> None
 
 (* Fault-injection hook for the model-differential fuzzer: when set to
    [n > 0], every [n]th evacuation copies only the header and leaves the
@@ -103,8 +100,6 @@ let evacuate ctx m ~dest src =
     src
   end
   else begin
-    if trace then
-      Printf.eprintf "evac v%d src=%#x hdr=%#x\n%!" m.Ctx.id src h;
     let store = ctx.Ctx.store in
     let bytes = (Header.length_words h + 1) * 8 in
     let dst = dest.alloc_dst bytes in
@@ -117,7 +112,7 @@ let evacuate ctx m ~dest src =
     Ctx.bulk_touch ctx m ~addr:dst ~bytes;
     copy_for_evacuation store ~src ~dst;
     Sim_mem.Memory.set store.Store.mem src (Header.forward dst);
-    Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.gc_obj_cycles;
+    Ctx.charge_work ctx m ~cycles:Params.gc_obj_cycles;
     dest.on_copy dst bytes;
     dst
   end

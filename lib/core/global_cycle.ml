@@ -79,7 +79,7 @@ let forward_global_roots ctx ev m =
 let scan_object ctx ~dest (m : Ctx.mutator) addr =
   let store = ctx.Ctx.store and in_from = in_from ctx in
   let h = Ctx.read_word ctx m addr in
-  Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.gc_obj_cycles;
+  Ctx.charge_work ctx m ~cycles:Params.gc_obj_cycles;
   (if Header.id h = Header.proxy_id then begin
      let r = Proxy.referent store addr in
      if

@@ -24,7 +24,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
   Array.iter
     (fun (m : Ctx.mutator) ->
       Ctx.set_in_gc m true;
-      Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.barrier_cycles;
+      Ctx.charge_work ctx m ~cycles:Params.barrier_cycles;
       Minor_gc.run ~cause ctx m;
       Major_gc.run ~cause ctx m)
     muts;
@@ -49,7 +49,7 @@ let run ?(cause = Obs.Gc_cause.Forced) ctx =
   (* The program restarts once the last vproc finishes. *)
   ignore
     (Global_cycle.barrier ctx ~cause ~member:all (fun m ->
-         Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.barrier_cycles;
+         Ctx.charge_work ctx m ~cycles:Params.barrier_cycles;
          Ctx.set_in_gc m false));
   Array.iter
     (fun (m : Ctx.mutator) ->

@@ -848,21 +848,8 @@ let causes_of_json j =
         kvs
   | _ -> raise (Shape "causes is not an object")
 
-(* The barrier kind postdates some checked-in artifacts: when a snapshot
-   written before it existed is re-read, treat the missing field as an
-   empty distribution rather than a shape error. *)
-let zero_kind_stats =
-  let zero = dist_of_hist (hist_create ()) in
-  { pause_ns = zero; copied_bytes = zero }
-
 let vproc_of_json j =
-  let ks k =
-    let name = Obs.Event.kind_to_string k in
-    match Json.member name j with
-    | Some v -> kind_of_json v
-    | None when k = Barrier -> zero_kind_stats
-    | None -> raise (Shape ("missing field " ^ name))
-  in
+  let ks k = kind_of_json (field (Obs.Event.kind_to_string k) j) in
   {
     vproc = int_field "vproc" j;
     minor = ks Minor;
@@ -875,16 +862,8 @@ let vproc_of_json j =
     chunk_acquires = int_field "chunk_acquires" j;
     steal_attempts = int_field "steal_attempts" j;
     steal_successes = int_field "steal_successes" j;
-    (* The ratify split postdates some checked-in artifacts: missing
-       means zero, like the barrier kind above. *)
-    ratified =
-      (match Json.member "ratified" j with
-      | Some (Json.Num f) -> int_of_float f
-      | _ -> 0);
-    ratify_skipped =
-      (match Json.member "ratify_skipped" j with
-      | Some (Json.Num f) -> int_of_float f
-      | _ -> 0);
+    ratified = int_field "ratified" j;
+    ratify_skipped = int_field "ratify_skipped" j;
   }
 
 let snapshot_of_json s =
@@ -900,33 +879,8 @@ let snapshot_of_json s =
       | exception Shape m -> Error ("metrics snapshot: " ^ m))
 
 (* ------------------------------------------------------------------ *)
-(* CSV + human-readable report                                         *)
+(* Human-readable report                                               *)
 (* ------------------------------------------------------------------ *)
-
-let snapshot_to_csv s =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    "vproc,kind,count,total_ns,min_ns,max_ns,p50_ns,p90_ns,p99_ns,p999_ns,bytes_total,bytes_p50,bytes_p99,chunk_acquires,steal_attempts,steal_successes,ratified,ratify_skipped\n";
-  let row vs name p by =
-    Buffer.add_string b
-      (Printf.sprintf
-         "%d,%s,%d,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%.0f,%d,%d,%d,%d,%d\n"
-         vs.vproc name p.count p.sum p.min p.max p.p50 p.p90 p.p99 p.p999
-         by.sum by.p50 by.p99 vs.chunk_acquires vs.steal_attempts
-         vs.steal_successes vs.ratified vs.ratify_skipped)
-  in
-  let zero = dist_of_hist (hist_create ()) in
-  List.iter
-    (fun vs ->
-      Array.iter
-        (fun (k, name) ->
-          let ks = kind_stats vs k in
-          row vs name ks.pause_ns ks.copied_bytes)
-        Obs.Event.kinds;
-      (* Request latency rides in the pause columns; it copies no bytes. *)
-      row vs "request" vs.requests zero)
-    s.vprocs;
-  Buffer.contents b
 
 let pp_summary ppf s =
   Format.fprintf ppf "@[<v>per-vproc collector pauses:@,";

@@ -12,8 +12,8 @@
     into log-scaled histogram buckets).
 
     A finished run is summarized into a {!snapshot}, a plain value that
-    serializes to JSON (round-trippable via {!snapshot_of_json}) and
-    CSV for offline analysis. *)
+    serializes to JSON (round-trippable via {!snapshot_of_json}) for
+    offline analysis. *)
 
 (** {2 Minimal JSON}
 
@@ -201,12 +201,6 @@ val snapshot_to_json : snapshot -> string
 val snapshot_of_json : string -> (snapshot, string) result
 (** Inverse of {!snapshot_to_json}: [snapshot_of_json (snapshot_to_json s)
     = Ok s] for any snapshot (floats are printed round-trippably). *)
-
-val snapshot_to_csv : snapshot -> string
-(** One row per vproc x kind (plus a [request] latency row per vproc):
-    [vproc,kind,count,total_ns,min_ns,max_ns,p50_ns,p90_ns,p99_ns,p999_ns,
-    bytes_total,bytes_p50,bytes_p99,chunk_acquires,steal_attempts,
-    steal_successes,ratified,ratify_skipped]. *)
 
 val pp_summary : Format.formatter -> snapshot -> unit
 (** Human-readable per-vproc percentile table (uses {!Units}). *)

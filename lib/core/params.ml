@@ -1,5 +1,13 @@
 type global_gc_mode = Stw | Concurrent
 
+let alloc_cycles = 4.
+let gc_obj_cycles = 12.
+let chunk_local_sync_cycles = 300.
+let chunk_global_sync_cycles = 2000.
+let promote_spinup_cycles = 1500.
+let barrier_cycles = 4000.
+let handshake_cycles = 400.
+
 type t = {
   page_bytes : int;
   capacity_bytes : int;
@@ -7,18 +15,11 @@ type t = {
   chunk_bytes : int;
   nursery_min_bytes : int;
   global_budget_per_vproc : int;
-  alloc_cycles : float;
-  gc_obj_cycles : float;
-  chunk_local_sync_cycles : float;
-  chunk_global_sync_cycles : float;
-  promote_spinup_cycles : float;
-  barrier_cycles : float;
   chunk_affinity : bool;
   young_exclusion : bool;
   unified_heap : bool;
   global_gc_mode : global_gc_mode;
   conc_slice_bytes : int;
-  handshake_cycles : float;
   conc_parallel_slices : int;
   conc_ratify_dirty_only : bool;
 }
@@ -31,18 +32,11 @@ let default =
     chunk_bytes = 64 * 1024;
     nursery_min_bytes = 32 * 1024;
     global_budget_per_vproc = 768 * 1024;
-    alloc_cycles = 4.;
-    gc_obj_cycles = 12.;
-    chunk_local_sync_cycles = 300.;
-    chunk_global_sync_cycles = 2000.;
-    promote_spinup_cycles = 1500.;
-    barrier_cycles = 4000.;
     chunk_affinity = true;
     young_exclusion = true;
     unified_heap = false;
     global_gc_mode = Stw;
     conc_slice_bytes = 32 * 1024;
-    handshake_cycles = 400.;
     conc_parallel_slices = 1;
     conc_ratify_dirty_only = true;
   }
@@ -76,7 +70,6 @@ let validate t =
     check (t.conc_slice_bytes > 0)
       "concurrent evacuation slice must be positive"
   in
-  let* () = check (t.handshake_cycles >= 0.) "handshake cost cannot be negative" in
   check
     (t.conc_parallel_slices >= 1)
     "conc_parallel_slices must be at least 1"

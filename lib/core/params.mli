@@ -1,4 +1,4 @@
-(** Tunable parameters of the memory system and its cost model.
+(** Settings of the memory system, and the collector's fixed costs.
 
     Sizes are scaled down from the paper's (local heaps sized to L3,
     32 MB global-GC budget per vproc) so that full 48-vproc simulations
@@ -12,6 +12,47 @@ type global_gc_mode =
           bounded collector slices; the all-vproc barrier is replaced by
           per-vproc handshakes plus a short final ratify pause *)
 
+(** {2 Cost constants}
+
+    The collector's fixed costs, in CPU cycles of the simulated core
+    (converted at the machine's clock rate).  They are constants, not
+    fields of {!t}: every run prices the collector with this one
+    calibration. *)
+
+val alloc_cycles : float
+(** Bump-allocation overhead per object (4). *)
+
+val gc_obj_cycles : float
+(** Per-object collector overhead, paid for each object a collection
+    copies or scans (12). *)
+
+val chunk_local_sync_cycles : float
+(** Acquiring a recycled chunk: node-local synchronization (300).  The
+    concurrent collector also pays it to claim a chunk and to condemn
+    the in-use set. *)
+
+val chunk_global_sync_cycles : float
+(** Registering a fresh chunk or a large object: global synchronization
+    (2000). *)
+
+val promote_spinup_cycles : float
+(** Fixed machinery cost of one promotion cycle (1500): saving the
+    mutator state, setting up the forwarding scan, and the
+    fence-equivalent publish of the copied graph.  A {!Promote.batch}
+    pays it once for all its roots. *)
+
+val barrier_cycles : float
+(** A stop-the-world global collection's per-vproc barrier cost, paid
+    at entry and at exit (4000).  Each vproc the concurrent collector
+    stops for ratify pays it once. *)
+
+val handshake_cycles : float
+(** Concurrent mode: one pairwise mutator/collector handshake (400),
+    piggy-backed on the allocation-limit poll and paid instead of the
+    stop-the-world [barrier_cycles]. *)
+
+(** {2 Settings} *)
+
 type t = {
   page_bytes : int;
   capacity_bytes : int;  (** total simulated physical memory *)
@@ -23,18 +64,6 @@ type t = {
   global_budget_per_vproc : int;
       (** trigger a global collection when in-use chunk bytes exceed
           [n_vprocs * this] (paper: 32 MB) *)
-  alloc_cycles : float;  (** bump-allocation overhead per object *)
-  gc_obj_cycles : float;  (** per-object collector overhead *)
-  chunk_local_sync_cycles : float;
-      (** acquiring a recycled chunk: node-local synchronization *)
-  chunk_global_sync_cycles : float;
-      (** registering a fresh chunk: global synchronization *)
-  promote_spinup_cycles : float;
-      (** fixed machinery cost of one promotion cycle (saving the
-          mutator state, setting up the forwarding scan, and the
-          fence-equivalent publish of the copied graph); a
-          {!Promote.batch} pays it once for all its roots *)
-  barrier_cycles : float;  (** global-GC handshake per vproc *)
   chunk_affinity : bool;
       (** preserve chunk node affinity on reuse (paper §3.1); disable
           for the ablation study *)
@@ -55,10 +84,6 @@ type t = {
       (** concurrent mode: max bytes of to-space scanned per collector
           slice — the pause-bound knob (smaller = shorter pauses, more
           slices) *)
-  handshake_cycles : float;
-      (** concurrent mode: cost of one pairwise mutator/collector
-          handshake (piggy-backed on the allocation-limit poll), paid
-          instead of the STW [barrier_cycles] *)
   conc_parallel_slices : int;
       (** concurrent mode: max evacuation slices the scheduler may
           dispatch in one turn — the first on the collector's lead

@@ -7,7 +7,7 @@ let is_local _ctx (m : Ctx.mutator) v =
    state, setting up the scan, and the fence-equivalent publish at the
    end.  Paid once per [value] call and once per batch. *)
 let charge_spinup ctx m =
-  Ctx.charge_work ctx m ~cycles:ctx.Ctx.params.Params.promote_spinup_cycles
+  Ctx.charge_work ctx m ~cycles:Params.promote_spinup_cycles
 
 let value ?(reason = Obs.Gc_cause.Explicit) ctx (m : Ctx.mutator) v =
   if not (is_local ctx m v) then v

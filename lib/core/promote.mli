@@ -27,7 +27,7 @@ val is_local : Ctx.t -> Ctx.mutator -> Heap.Value.t -> bool
     claims every env cell of the stolen item, a [sync] publishes every
     send arm's message, and a busy quantum performs runs of consecutive
     [send]s.  A [batch] lets those share one promotion cycle: the
-    machinery spin-up ({!Params.t.promote_spinup_cycles}) is charged
+    machinery spin-up ({!Params.promote_spinup_cycles}) is charged
     once, the destination (and its chunk cursor) is reused so the
     copies pack together, and the batch is published with one
     fence-equivalent at {!batch_end}, recorded as a single

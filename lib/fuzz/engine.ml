@@ -149,20 +149,6 @@ let check s =
   s.checks <- s.checks + 1;
   match Checker.check s.ctx ~roots:(gather_roots s) with
   | Ok () -> ()
-  | Error errs when Sys.getenv_opt "FUZZ_DEBUG_ROOTS" <> None ->
-      List.iter
-        (fun (r : Checker.root) ->
-          if Value.is_ptr r.Checker.runtime then
-            Printf.eprintf "%s: raw=%#x resolved=%s\n" r.Checker.label
-              (Value.to_ptr r.Checker.runtime)
-              (match Checker.resolve_addr s.ctx (Value.to_ptr r.Checker.runtime) with
-              | Ok a -> Printf.sprintf "%#x" a
-              | Error m -> m))
-        (gather_roots s);
-      raise
-        (Divergence
-           (Printf.sprintf "%d error(s): %s" (List.length errs)
-              (String.concat " | " errs)))
   | Error errs ->
       raise
         (Divergence

@@ -2,8 +2,8 @@ type series = { label : string; points : (int * float) list }
 
 let markers = [| 'D'; 'R'; 'Q'; 'B'; 'S'; 'Y'; 'Z'; 'W' |]
 
-let render ?(width = 64) ?(height = 24) ~title ~xlabel ~ylabel ~ideal
-    (series : series list) =
+let render ~title ~xlabel ~ylabel ~ideal (series : series list) =
+  let width = 64 and height = 24 in
   let xs = List.concat_map (fun s -> List.map fst s.points) series in
   let ys = List.concat_map (fun s -> List.map snd s.points) series in
   let xmax = List.fold_left max 1 xs in
@@ -70,7 +70,8 @@ let render ?(width = 64) ?(height = 24) ~title ~xlabel ~ylabel ~ideal
 (* Shade glyphs from cold to hot, picked by fraction of the matrix max. *)
 let shades = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#'; '@' |]
 
-let heatmap ?(cell_width = 12) ~title ~row_label ~col_label matrix =
+let heatmap ~title ~row_label ~col_label matrix =
+  let cell_width = 12 in
   let n = Array.length matrix in
   let get r c = if c < Array.length matrix.(r) then matrix.(r).(c) else 0 in
   let vmax = Array.fold_left (Array.fold_left max) 0 matrix in

@@ -6,15 +6,16 @@ type series = { label : string; points : (int * float) list }
 (** [(threads, speedup)] pairs, ascending in threads. *)
 
 val render :
-  ?width:int -> ?height:int -> title:string -> xlabel:string ->
-  ylabel:string -> ideal:bool -> series list -> string
-(** Render to a multi-line string.  When [ideal] is set, the y=x diagonal
-    is drawn with ['.'].  Each series gets a distinct letter marker,
-    listed in the legend below the chart. *)
+  title:string -> xlabel:string -> ylabel:string -> ideal:bool ->
+  series list -> string
+(** Render to a multi-line string, a chart area of 64 x 24 characters.
+    When [ideal] is set, the y=x diagonal is drawn with ['.'].  Each
+    series gets a distinct letter marker, listed in the legend below the
+    chart. *)
 
 val heatmap :
-  ?cell_width:int -> title:string -> row_label:string -> col_label:string ->
-  int array array -> string
+  title:string -> row_label:string -> col_label:string -> int array array ->
+  string
 (** Render a square count matrix (e.g. the NUMA traffic matrix, rows =
     source node, columns = destination node) as an ASCII heatmap: each
     cell shows a shade glyph scaled to the matrix maximum plus the raw

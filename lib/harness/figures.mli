@@ -12,15 +12,6 @@ type sweep_result = {
   points : (int * Run_config.outcome) list;  (** per thread count *)
 }
 
-val intel_threads : int list
-(** Figure 4's x-axis: 1, 4, 8, 12, 16, 24, 32. *)
-
-val amd_threads : int list
-(** Figures 5–7's x-axis: 1, 4, 8, 12, 24, 36, 48. *)
-
-val figure_workloads : fast:bool -> (string * float) list
-(** The five benchmarks with their figure-run scales. *)
-
 val sweep :
   ?progress:(string -> unit) ->
   machine:Numa.Topology.t ->
@@ -29,11 +20,6 @@ val sweep :
   workloads:(string * float) list ->
   unit ->
   sweep_result list
-
-val speedup_series :
-  baseline:(string -> float) -> sweep_result list -> Ascii_plot.series list
-(** [baseline w] is the 1-thread time the speedups are computed against
-    (Figures 6 and 7 are plotted against Figure 5's baseline). *)
 
 type fig = [ `Fig4 | `Fig5 | `Fig6 | `Fig7 ]
 

@@ -12,8 +12,8 @@ let esc s =
     s;
   Buffer.contents buf
 
-let render ?(width = 640) ?(height = 440) ~title ~xlabel ~ylabel ~ideal
-    (series : Ascii_plot.series list) =
+let render ~title ~xlabel ~ylabel ~ideal (series : Ascii_plot.series list) =
+  let width = 640 and height = 440 in
   let ml, mr, mt, mb = (56, 150, 40, 48) in
   let pw = width - ml - mr and ph = height - mt - mb in
   let xs = List.concat_map (fun (s : Ascii_plot.series) -> List.map fst s.points) series in

@@ -105,7 +105,6 @@ let alloc t ~vproc ~node ~bytes =
   end
 
 let current t ~vproc = t.current.(vproc)
-let drop_current t ~vproc = t.current.(vproc) <- None
 
 let in_use t = t.in_use
 
@@ -115,7 +114,6 @@ let take_all_in_use t =
   Array.fill t.current 0 (Array.length t.current) None;
   l
 
-let add_in_use t c = t.in_use <- c :: t.in_use
 let pool t = t.pool
 let chunk_bytes t = t.chunk_bytes
 let in_use_bytes t = Chunk.in_use_bytes t.pool + t.large_bytes

@@ -37,9 +37,6 @@ val large_list : t -> (int * int) list
 (** [(address, region bytes)] of live large objects, for walkers. *)
 
 val current : t -> vproc:int -> Chunk.t option
-val drop_current : t -> vproc:int -> unit
-(** Detach the vproc's current chunk (it stays in the in-use set); used
-    when global collection rotates spaces. *)
 
 val in_use : t -> Chunk.t list
 (** Every chunk holding live global data, including current chunks. *)
@@ -48,7 +45,6 @@ val take_all_in_use : t -> Chunk.t list
 (** Empty the in-use set and detach every current chunk — the start of a
     global collection (the result becomes from-space). *)
 
-val add_in_use : t -> Chunk.t -> unit
 val pool : t -> Chunk.pool
 val chunk_bytes : t -> int
 val in_use_bytes : t -> int

@@ -48,8 +48,6 @@ val region : t -> int -> region
 
 (** {2 Region transitions} *)
 
-val set_range : t -> addr:int -> bytes:int -> region -> unit
-val clear_range : t -> addr:int -> bytes:int -> unit
 val set_local : t -> vproc:int -> addr:int -> bytes:int -> unit
 val set_chunk : t -> Chunk.t -> unit
 val clear_chunk : t -> Chunk.t -> unit

@@ -266,8 +266,3 @@ let check ?(remembered = fun _ -> false) ?(evacuating = false) store ~locals
           proxies = ctx.proxies;
         }
   | errs -> Error (List.rev errs)
-
-let check_exn ?remembered ?evacuating store ~locals ~global =
-  match check ?remembered ?evacuating store ~locals ~global with
-  | Ok s -> s
-  | Error errs -> failwith (String.concat "\n" errs)

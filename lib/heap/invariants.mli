@@ -40,9 +40,3 @@ val check :
     forwarding words whose targets were themselves evacuated (forwarding
     chains, repaired by the collector's final retarget) are then resolved
     through instead of reported. *)
-
-val check_exn :
-  ?remembered:(int -> bool) ->
-  ?evacuating:bool ->
-  Store.t -> locals:Local_heap.t array -> global:Global_heap.t -> summary
-(** Like {!check} but raises [Failure] with the violations joined. *)

@@ -48,7 +48,6 @@ val nursery_bytes : t -> int
 (** Current nursery capacity, [limit - nursery_base]. *)
 
 val nursery_free : t -> int
-val old_bytes : t -> int
 val young_bytes : t -> int
 val free_bytes : t -> int
 (** Reserved copy space plus unallocated nursery. *)

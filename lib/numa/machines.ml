@@ -35,30 +35,21 @@ let tiny4 =
 let all = [ amd48; amd24; intel32; tiny4 ]
 let by_name name = List.find_opt (fun t -> t.Topology.name = name) all
 
-let rebuild ?(bw_div = 1.) ?(cache_div = 1) (t : Topology.t) =
-  let kc = cache_div in
+let with_scaled_caches k (t : Topology.t) =
+  if k <= 0 then invalid_arg "Machines.with_scaled_caches";
   Topology.make ~name:t.Topology.name ~n_packages:t.Topology.n_packages
     ~nodes_per_package:t.Topology.nodes_per_package
     ~cores_per_node:t.Topology.cores_per_node ~ghz:t.Topology.ghz
-    ~local_bw:(t.Topology.bw.(0).(0) /. bw_div)
+    ~local_bw:t.Topology.bw.(0).(0)
     ~same_package_bw:
-      ((if t.Topology.nodes_per_package > 1 then t.Topology.bw.(0).(1)
-        else t.Topology.bw.(0).(0))
-      /. bw_div)
-    ~cross_package_bw:(t.Topology.bw.(0).(Topology.n_nodes t - 1) /. bw_div)
+      (if t.Topology.nodes_per_package > 1 then t.Topology.bw.(0).(1)
+       else t.Topology.bw.(0).(0))
+    ~cross_package_bw:t.Topology.bw.(0).(Topology.n_nodes t - 1)
     ~local_lat_ns:t.Topology.latency.(0).(0)
     ~same_package_lat_ns:
       (if t.Topology.nodes_per_package > 1 then t.Topology.latency.(0).(1)
        else t.Topology.latency.(0).(0))
     ~cross_package_lat_ns:t.Topology.latency.(0).(Topology.n_nodes t - 1)
-    ~l1_kb:(max 4 (t.Topology.l1_kb / kc))
-    ~l2_kb:(max 4 (t.Topology.l2_kb / kc))
-    ~l3_usable_kb:(max 16 (t.Topology.l3_usable_kb / kc))
-
-let with_scaled_caches k t =
-  if k <= 0 then invalid_arg "Machines.with_scaled_caches";
-  rebuild ~cache_div:k t
-
-let with_scaled_bandwidth k t =
-  if k <= 0 then invalid_arg "Machines.with_scaled_bandwidth";
-  rebuild ~bw_div:(float_of_int k) t
+    ~l1_kb:(max 4 (t.Topology.l1_kb / k))
+    ~l2_kb:(max 4 (t.Topology.l2_kb / k))
+    ~l3_usable_kb:(max 16 (t.Topology.l3_usable_kb / k))

@@ -36,10 +36,3 @@ val with_scaled_caches : int -> Topology.t -> Topology.t
     down from the paper's sizes to keep simulations fast; scaling caches
     by the same factor preserves the data-to-cache ratios that drive the
     benchmarks' locality behaviour. *)
-
-val with_scaled_bandwidth : int -> Topology.t -> Topology.t
-(** [with_scaled_bandwidth k t] divides every bank and link bandwidth by
-    [k], leaving latencies unchanged.  Scaled-down workloads move ~k
-    times less data per unit of virtual time, so scaling bandwidth
-    alongside preserves the traffic-to-capacity ratios that produce the
-    saturation behaviours of Figures 6 and 7. *)

@@ -194,28 +194,17 @@ let of_strings words =
   | [ "req-done"; l ] ->
       let* latency_ns = int l in
       Ok (Req_done { latency_ns })
-  (* conc-* events grew a trailing cycle id; the two-operand forms are
-     still accepted (as cycle 0) so old dumps keep parsing. *)
-  | [ "conc-phase"; p; d ] | [ "conc-phase"; p; d; _ ] as w -> (
+  | [ "conc-phase"; p; d; cy ] -> (
       match phase_of_string p with
       | Some phase ->
           let* dur_ns = int d in
-          let* cycle =
-            match w with [ _; _; _; cy ] -> int cy | _ -> Ok 0
-          in
+          let* cycle = int cy in
           Ok (Conc_phase { cycle; phase; dur_ns })
       | None -> Error "bad conc-phase name")
-  | [ "conc-slices"; n ] ->
-      let* count = int n in
-      Ok (Conc_slices { cycle = 0; count })
   | [ "conc-slices"; n; cy ] ->
       let* count = int n in
       let* cycle = int cy in
       Ok (Conc_slices { cycle; count })
-  | [ "conc-ratify"; r; s ] ->
-      let* ratified = int r in
-      let* skipped = int s in
-      Ok (Conc_ratify { cycle = 0; ratified; skipped })
   | [ "conc-ratify"; r; s; cy ] ->
       let* ratified = int r in
       let* skipped = int s in

@@ -45,8 +45,7 @@ type t =
           forwarding words) and [dur_ns] how much virtual time it
           charged — the input to gcprof's per-phase attribution for
           concurrent collections.  [cycle] names the concurrent cycle
-          the slice belonged to (0-based; dumps predating cycle ids
-          parse as cycle 0). *)
+          the slice belonged to (0-based). *)
   | Conc_slices of { cycle : int; count : int }
       (** One scheduler turn dispatched [count] (> 1) concurrent
           evacuation slices on distinct vprocs — the lead slice plus
@@ -75,11 +74,8 @@ val phases : (global_phase * string) array
 (** Every global phase with its name, indexed by its packed code. *)
 
 val kind_code : coll_kind -> int
-val kind_of_code : int -> coll_kind option
 val kind_to_string : coll_kind -> string
-val kind_of_string : string -> coll_kind option
 val phase_to_string : global_phase -> string
-val phase_of_string : string -> global_phase option
 
 val encode : t -> int * int * int * int
 (** [(tag, a, b, c)] packed form. *)

@@ -9,26 +9,21 @@ type t = {
   n_nodes : int;
   matrix : int array;  (* row-major: src_node * n_nodes + dst_node -> bytes *)
   mutable enabled : bool;
-  sample_every : int;
   mutable sample_countdown : int;
 }
 
 let default_capacity = 4096
-let default_sample_every = 64
+let sample_every = 64
 
-let create ?(capacity = default_capacity) ?(sample_every = default_sample_every)
-    ~n_vprocs ~n_nodes ~node_of_vproc () =
+let create ?(capacity = default_capacity) ~n_vprocs ~n_nodes ~node_of_vproc () =
   if n_vprocs <= 0 then invalid_arg "Recorder.create: n_vprocs must be positive";
   if n_nodes <= 0 then invalid_arg "Recorder.create: n_nodes must be positive";
-  if sample_every <= 0 then
-    invalid_arg "Recorder.create: sample_every must be positive";
   {
     rings = Array.init n_vprocs (fun _ -> Ring.create ~capacity);
     node_of_vproc = Array.init n_vprocs node_of_vproc;
     n_nodes;
     matrix = Array.make (n_nodes * n_nodes) 0;
     enabled = true;
-    sample_every;
     sample_countdown = sample_every;
   }
 
@@ -37,7 +32,6 @@ let set_enabled t on = t.enabled <- on
 let n_vprocs t = Array.length t.rings
 let n_nodes t = t.n_nodes
 let node_of_vproc t v = t.node_of_vproc.(v)
-let sample_every t = t.sample_every
 
 let record t ~vproc ~t_ns ev =
   if t.enabled && vproc >= 0 && vproc < Array.length t.rings then begin
@@ -61,7 +55,7 @@ let sample_alloc t ~vproc ~t_ns ~bytes =
   if t.enabled then begin
     t.sample_countdown <- t.sample_countdown - 1;
     if t.sample_countdown <= 0 then begin
-      t.sample_countdown <- t.sample_every;
+      t.sample_countdown <- sample_every;
       record t ~vproc ~t_ns (Event.Alloc_sample { bytes })
     end
   end
@@ -253,16 +247,14 @@ let of_string ?(partial = false) s =
 
 (* Human-readable tail of each vproc's ring, for post-mortem printing
    next to a failing trace. *)
-let dump_tail ?(events_per_vproc = 32) t =
+let dump_tail t =
   let buf = Buffer.create 1024 in
   Array.iteri
     (fun v _ ->
       let evs = events t ~vproc:v in
       let n = List.length evs in
       let tail =
-        if n <= events_per_vproc then evs
-        else
-          List.filteri (fun i _ -> i >= n - events_per_vproc) evs
+        if n <= 32 then evs else List.filteri (fun i _ -> i >= n - 32) evs
       in
       Buffer.add_string buf
         (Printf.sprintf "vproc %d (node %d): %d events recorded, %d dropped\n" v

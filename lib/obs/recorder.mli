@@ -10,14 +10,15 @@ type t
 
 val create :
   ?capacity:int ->
-  ?sample_every:int ->
   n_vprocs:int ->
   n_nodes:int ->
   node_of_vproc:(int -> int) ->
   unit ->
   t
-(** [capacity] (default 4096) is events kept per vproc before overwrite;
-    [sample_every] (default 64) is the allocation sampling period. *)
+(** [capacity] (default 4096) is events kept per vproc before overwrite. *)
+
+val sample_every : int
+(** The allocation sampling period: one allocation in 64 is recorded. *)
 
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
@@ -25,7 +26,6 @@ val set_enabled : t -> bool -> unit
 val n_vprocs : t -> int
 val n_nodes : t -> int
 val node_of_vproc : t -> int -> int
-val sample_every : t -> int
 
 val record : t -> vproc:int -> t_ns:float -> Event.t -> unit
 (** No-op when disabled or [vproc] is out of range. *)
@@ -62,6 +62,6 @@ val of_string : ?partial:bool -> string -> (t, string) result
     is tolerated.  The dump's ["dropped"] lines are restored into the
     rings' drop counters either way. *)
 
-val dump_tail : ?events_per_vproc:int -> t -> string
-(** Human-readable tail (default last 32 events) of each vproc's ring,
-    for post-mortem printing alongside a failing trace. *)
+val dump_tail : t -> string
+(** Human-readable tail (the last 32 events) of each vproc's ring, for
+    post-mortem printing alongside a failing trace. *)

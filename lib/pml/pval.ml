@@ -95,8 +95,6 @@ let arr_node ctx m (d : descs) l r =
   let total = arr_length ctx m l + arr_length ctx m r in
   Alloc.alloc_mixed ctx m d.node [| Value.of_int total; l; r |]
 
-let farr_node = arr_node
-
 let is_node ctx m v =
   (not (Value.is_int v))
   && Header.id (Ctx.header_of ctx m (Value.to_ptr (Ctx.resolve ctx m v)))
@@ -250,16 +248,6 @@ let rec farr_fold ctx m v ~init ~f =
       !acc
     end
   end
-
-let farr_to_array ctx m v =
-  let n = farr_length ctx m v in
-  let out = Array.make (max n 1) 0. in
-  let i = ref 0 in
-  ignore
-    (farr_fold ctx m v ~init:() ~f:(fun () x ->
-         out.(!i) <- x;
-         incr i));
-  Array.sub out 0 n
 
 (* {2 Boxed floats} *)
 

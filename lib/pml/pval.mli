@@ -23,9 +23,6 @@ val register : Ctx.t -> descs
 (** Register (or look up) the mixed-object descriptors used by this
     module.  Call once per context before building values. *)
 
-val leaf_max : int
-(** Maximum elements in one array leaf. *)
-
 (** {2 Tuples} *)
 
 val tuple : Ctx.t -> Ctx.mutator -> Value.t array -> Value.t
@@ -41,7 +38,6 @@ val tail : Ctx.t -> Ctx.mutator -> Value.t -> Value.t
 val list_length : Ctx.t -> Ctx.mutator -> Value.t -> int
 val list_of_ints : Ctx.t -> Ctx.mutator -> int list -> Value.t
 val ints_of_list : Ctx.t -> Ctx.mutator -> Value.t -> int list
-val list_rev_append : Ctx.t -> Ctx.mutator -> Value.t -> Value.t -> Value.t
 val list_append : Ctx.t -> Ctx.mutator -> Value.t -> Value.t -> Value.t
 
 (** {2 Parallel arrays of values} *)
@@ -73,8 +69,6 @@ val farr_tabulate :
   Ctx.t -> Ctx.mutator -> descs -> n:int -> f:(int -> float) -> Value.t
 val farr_length : Ctx.t -> Ctx.mutator -> Value.t -> int
 val farr_get : Ctx.t -> Ctx.mutator -> Value.t -> int -> float
-val farr_node : Ctx.t -> Ctx.mutator -> descs -> Value.t -> Value.t -> Value.t
-val farr_to_array : Ctx.t -> Ctx.mutator -> Value.t -> float array
 
 val farr_fold :
   Ctx.t -> Ctx.mutator -> Value.t -> init:'a -> f:('a -> float -> 'a) -> 'a

@@ -1,6 +1,5 @@
 let word_bytes = 8
 let null = 0
-let is_null a = a = 0
 let is_word_aligned a = a land 7 = 0
 
 let word_index a =

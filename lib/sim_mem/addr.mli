@@ -10,7 +10,6 @@ val word_bytes : int
 val null : int
 (** [0] *)
 
-val is_null : int -> bool
 val is_word_aligned : int -> bool
 
 val word_index : int -> int

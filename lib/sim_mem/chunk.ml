@@ -9,7 +9,6 @@ type t = {
 }
 
 let free_bytes c = c.base + c.bytes - c.alloc_ptr
-let used_bytes c = c.alloc_ptr - c.base
 let contains c addr = addr >= c.base && addr < c.base + c.bytes
 
 let bump c bytes =

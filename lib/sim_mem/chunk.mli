@@ -22,7 +22,6 @@ type t = {
 }
 
 val free_bytes : t -> int
-val used_bytes : t -> int
 val contains : t -> int -> bool
 (** Does this chunk contain byte address [addr]? *)
 

@@ -18,8 +18,6 @@ open Heap
 open Manticore_gc
 open Runtime
 
-val particles_of_scale : float -> int
-val iters_of_scale : float -> int
 val theta : float
 
 val main : Sched.t -> Pml.Pval.descs -> Ctx.mutator -> scale:float -> Value.t

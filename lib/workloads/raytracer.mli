@@ -12,7 +12,6 @@ open Manticore_gc
 open Runtime
 
 val size_of_scale : float -> int
-val n_spheres : int
 
 val main : Sched.t -> Pml.Pval.descs -> Ctx.mutator -> scale:float -> Value.t
 (** Returns the boxed checksum (sum of pixel luminances). *)

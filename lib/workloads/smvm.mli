@@ -15,10 +15,6 @@ open Heap
 open Manticore_gc
 open Runtime
 
-val rows_of_scale : float -> int
-val vec_of_scale : float -> int
-val nnz_of_row : int -> int
-
 val main : Sched.t -> Pml.Pval.descs -> Ctx.mutator -> scale:float -> Value.t
 (** Returns the boxed sum of the output vector. *)
 
